@@ -9,7 +9,6 @@ into single-differential and total cross sections.
 """
 
 from .specfun import (
-    Cplx,
     DistortionParams,
     SpecialFunctionError,
     GammaPoleError,
@@ -36,7 +35,6 @@ from .states import (
     threshold_ev,
 )
 from .amplitude import (
-    IntegrandPoint,
     IntegrationSpec,
     AmplitudeValue,
     AccuracyNotReachedError,

@@ -13,7 +13,10 @@ bound-state decay scales.
 
 A plain Monte Carlo estimator of the full nine-dimensional integral,
 with every perturbation term evaluated pointwise, is kept as
-:func:`amplitude_oracle_9d` to validate the reduction end to end.
+:func:`amplitude_oracle_9d` to validate the reduction end to end.  Both
+take the geometry, the validity mask and the wave part (Coulomb
+distortion, conjugated into the bra, x eikonal phase x plane waves) from
+one kernel, ``_wave_factors``.
 
 Geometry: the ejected-electron momentum defines the polar axis; the
 incident momentum lies in the x-z plane at the ejection angle.  All
@@ -48,7 +51,6 @@ from .states import (
 )
 
 __all__ = [
-    "IntegrandPoint",
     "IntegrationSpec",
     "AmplitudeValue",
     "AccuracyNotReachedError",
@@ -71,18 +73,6 @@ class AccuracyNotReachedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class IntegrandPoint:
-    """One configuration: electron r1, Ps positron r2, atom positron r3.
-
-    r3 is only consulted by the nine-dimensional oracle path.
-    """
-
-    r1: np.ndarray
-    r2: np.ndarray
-    r3: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
 class IntegrationSpec:
     """Monte Carlo budget and reproducibility knobs.
 
@@ -92,14 +82,11 @@ class IntegrationSpec:
     compatible with zero would otherwise abort whole sweeps).
     """
 
-    method: str = "quasi-mc"
     samples: int = 1_000_000
     seed: int = 1
     target_rel_err: Optional[float] = None
 
     def __post_init__(self):
-        if self.method not in ("quasi-mc", "plain-mc-oracle"):
-            raise ValueError(f"unknown integration method {self.method!r}")
         if self.samples < 1000:
             raise ValueError(f"need at least 1000 samples, got {self.samples}")
         if self.target_rel_err is not None and not 0.0 < self.target_rel_err < 1.0:
@@ -238,32 +225,29 @@ def beam_vectors(kin: Kinematics) -> Tuple[np.ndarray, np.ndarray]:
     return k1_vec, ki_vec
 
 
-def _integrand_6d(
+def _wave_factors(
     r1v: np.ndarray,
     r2v: np.ndarray,
-    kin: Kinematics,
-    screen: ScreeningConfig,
-    state: PsState,
-    conj_convention: bool,
     distortion: DistortionParams,
     k1_vec: np.ndarray,
     ki_vec: np.ndarray,
-    chand: ChandrasekharParams,
-) -> np.ndarray:
-    """Reduced integrand on (N, 3) electron / Ps-positron coordinates."""
+):
+    """Geometry and wave part of the integrand on (N, 3) r1, r2 rows.
+
+    Returns (r1, r2, rhov, valid, wave).  ``valid`` rejects zero radii and
+    points with r1 or rho on the negative polar axis of k1; ``wave`` is
+    Coulomb distortion x eikonal phase x plane waves, meaningful only
+    where ``valid`` holds.
+    """
     r1 = np.sqrt(np.einsum("ij,ij->i", r1v, r1v))
     r2 = np.sqrt(np.einsum("ij,ij->i", r2v, r2v))
     rhov = r1v - r2v
     rho = np.sqrt(np.einsum("ij,ij->i", rhov, rhov))
 
-    k1n = float(np.linalg.norm(k1_vec))
-    khat = k1_vec / k1n if k1n > 0.0 else np.array([0.0, 0.0, 1.0])
+    khat = k1_vec / float(np.linalg.norm(k1_vec))
     b1 = r1 + r1v @ khat
     b2 = rho + rhov @ khat
     valid = (b1 > EPS_GEOM) & (b2 > EPS_GEOM) & (r1 > 0.0) & (r2 > 0.0)
-
-    r1s = np.where(valid, r1, 1.0)
-    r2s = np.where(valid, r2, 1.0)
     b1s = np.where(valid, b1, 1.0)
     b2s = np.where(valid, b2, 1.0)
 
@@ -271,43 +255,54 @@ def _integrand_6d(
     eik = np.exp(-1j * distortion.eta1 * (np.log(b1s) - np.log(b2s)))
     rr = 0.5 * (r1v + r2v)
     plane = np.exp(1j * (rr @ ki_vec - r1v @ k1_vec))
+    return r1, r2, rhov, valid, dist * eik * plane
+
+
+def _integrand_6d(
+    r1v: np.ndarray,
+    r2v: np.ndarray,
+    screen: ScreeningConfig,
+    state: PsState,
+    distortion: DistortionParams,
+    k1_vec: np.ndarray,
+    ki_vec: np.ndarray,
+    chand: ChandrasekharParams,
+) -> np.ndarray:
+    """Reduced integrand on (N, 3) electron / Ps-positron coordinates."""
+    r1, r2, rhov, valid, wave = _wave_factors(r1v, r2v, distortion, k1_vec, ki_vec)
+    r1s = np.where(valid, r1, 1.0)
+    r2s = np.where(valid, r2, 1.0)
     inner = _inner_r3_many(r1s, r2s, screen.mu, chand)
     ps = _ps_wavefunction_many(state, rhov)
 
-    vals = dist * eik * plane * inner * ps
+    vals = wave * inner * ps
     vals[~valid] = 0.0
-    if not conj_convention:
-        vals = np.conj(vals)
     return vals
 
 
 def reduced_integrand(
-    point: IntegrandPoint,
+    r1,
+    r2,
     kin: Kinematics,
     screen: ScreeningConfig,
     state: PsState,
-    conj_convention: bool = True,
     distortion: Optional[DistortionParams] = None,
     chand: ChandrasekharParams = ChandrasekharParams(),
 ) -> complex:
     """Value of the reduced (atom-positron already integrated) integrand.
 
-    ``conj_convention=True`` evaluates the amplitude integrand with the
-    final-state distortion conjugated into the bra; ``False`` conjugates
-    the whole integrand instead, which flips only the phase of the
-    resulting amplitude.  ``distortion`` may override the couplings (zero
-    couplings give the plane-wave Born integrand).
+    r1 is the electron and r2 the Ps-positron position.  Points on the
+    negative polar axis of k1 give exactly zero.  ``distortion`` may
+    override the couplings (zero couplings give the plane-wave Born
+    integrand).
     """
     if distortion is None:
         distortion = DistortionParams.for_momentum(kin.k1)
     k1_vec, ki_vec = beam_vectors(kin)
-    r1v = np.asarray(point.r1, dtype=float).reshape(1, 3)
-    r2v = np.asarray(point.r2, dtype=float).reshape(1, 3)
+    r1v = np.asarray(r1, dtype=float).reshape(1, 3)
+    r2v = np.asarray(r2, dtype=float).reshape(1, 3)
     return complex(
-        _integrand_6d(
-            r1v, r2v, kin, screen, state, conj_convention, distortion,
-            k1_vec, ki_vec, chand,
-        )[0]
+        _integrand_6d(r1v, r2v, screen, state, distortion, k1_vec, ki_vec, chand)[0]
     )
 
 
@@ -417,13 +412,11 @@ def _check_accuracy(t: complex, std_err: float, spec: IntegrationSpec) -> None:
         )
 
 
-
 def amplitude(
     kin: Kinematics,
     state: PsState,
     screen: ScreeningConfig,
     spec: IntegrationSpec,
-    conj_convention: bool = True,
     chand: ChandrasekharParams = ChandrasekharParams(),
 ) -> AmplitudeValue:
     """Randomized-QMC estimate of the prior-form transition amplitude.
@@ -433,8 +426,6 @@ def amplitude(
     gives an unbiased standard error.  Fixed (spec, kinematics) give a
     bit-identical result regardless of worker count.
     """
-    if spec.method != "quasi-mc":
-        raise ValueError("amplitude requires method='quasi-mc'")
     distortion = DistortionParams.for_momentum(kin.k1)
     k1_vec, ki_vec = beam_vectors(kin)
     rates2, w2mix = _r2_mixture(chand)
@@ -450,8 +441,7 @@ def amplitude(
         rhov, pr = _vectors_from_uniform(u[:, 3:6], rate_rho)
         r1v = r2v + rhov
         vals = _integrand_6d(
-            r1v, r2v, kin, screen, state, conj_convention, distortion,
-            k1_vec, ki_vec, chand,
+            r1v, r2v, screen, state, distortion, k1_vec, ki_vec, chand
         )
         estimates[rep] = np.mean(vals / (p2 * pr))
 
@@ -470,7 +460,6 @@ def amplitude_oracle_9d(
     state: PsState,
     screen: ScreeningConfig,
     spec: IntegrationSpec,
-    conj_convention: bool = True,
     chand: ChandrasekharParams = ChandrasekharParams(),
     vi_signs: Sequence[float] = (1.0, -1.0, -1.0, 1.0),
 ) -> AmplitudeValue:
@@ -482,11 +471,8 @@ def amplitude_oracle_9d(
     validate the analytic atom-positron reduction; ``vi_signs`` lets
     tests flip or drop individual perturbation terms.
     """
-    if spec.method != "plain-mc-oracle":
-        raise ValueError("amplitude_oracle_9d requires method='plain-mc-oracle'")
     distortion = DistortionParams.for_momentum(kin.k1)
     k1_vec, ki_vec = beam_vectors(kin)
-    khat = k1_vec / kin.k1
     mu = screen.mu
     rates2, w2mix = _r2_mixture(chand)
     rate_rho = _rho_rate(state)
@@ -508,31 +494,19 @@ def amplitude_oracle_9d(
         r3v, p3 = _vectors_from_uniform(u[:, 6:9], rate3)
         r1v = r2v + rhov
 
-        r1 = np.sqrt(np.einsum("ij,ij->i", r1v, r1v))
-        r2 = np.sqrt(np.einsum("ij,ij->i", r2v, r2v))
+        r1, r2, rhov, valid, wave = _wave_factors(
+            r1v, r2v, distortion, k1_vec, ki_vec
+        )
         r3 = np.sqrt(np.einsum("ij,ij->i", r3v, r3v))
-        rho = np.sqrt(np.einsum("ij,ij->i", rhov, rhov))
         d13 = r1v - r3v
         d23 = r2v - r3v
         r13 = np.sqrt(np.einsum("ij,ij->i", d13, d13))
         r23 = np.sqrt(np.einsum("ij,ij->i", d23, d23))
-
-        b1 = r1 + r1v @ khat
-        b2 = rho + rhov @ khat
-        valid = (
-            (b1 > EPS_GEOM)
-            & (b2 > EPS_GEOM)
-            & (r1 > 0.0)
-            & (r2 > 0.0)
-            & (r13 > 0.0)
-            & (r23 > 0.0)
-        )
+        valid &= (r13 > 0.0) & (r23 > 0.0)
         r1s = np.where(valid, r1, 1.0)
         r2s = np.where(valid, r2, 1.0)
         r13s = np.where(valid, r13, 1.0)
         r23s = np.where(valid, r23, 1.0)
-        b1s = np.where(valid, b1, 1.0)
-        b2s = np.where(valid, b2, 1.0)
 
         vi = (
             s1 * np.exp(-mu * r1s) / r1s
@@ -540,18 +514,12 @@ def amplitude_oracle_9d(
             + s3 * np.exp(-mu * r13s) / r13s
             + s4 * np.exp(-mu * r23s) / r23s
         )
-        dist = _coulomb_distortion_many(distortion, r1v, k1_vec, conjugated=True)
-        eik = np.exp(-1j * distortion.eta1 * (np.log(b1s) - np.log(b2s)))
-        rr = 0.5 * (r1v + r2v)
-        plane = np.exp(1j * (rr @ ki_vec - r1v @ k1_vec))
         ion = hplus_wavefunction(chand, r2, r3)
         atom = _hbar_radial(r3)
         ps = _ps_wavefunction_many(state, rhov)
 
-        vals = dist * eik * plane * vi * ion * atom * ps
+        vals = wave * vi * ion * atom * ps
         vals[~valid] = 0.0
-        if not conj_convention:
-            vals = np.conj(vals)
         vals = vals / (p2 * pr * p3)
 
         acc += np.sum(vals)

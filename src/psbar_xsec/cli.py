@@ -81,6 +81,10 @@ class RunConfig:
                 raise ConfigError("sdcs mode needs an angle grid")
             if min(self.angles) < 0.0 or max(self.angles) > 180.0:
                 raise ConfigError("angles must lie within [0, 180] degrees")
+        elif self.n_theta < 8:
+            raise ConfigError(f"tcs mode needs n_theta >= 8, got {self.n_theta}")
+        if self.samples < 1000:
+            raise ConfigError(f"need at least 1000 samples, got {self.samples}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         return self
@@ -103,13 +107,6 @@ def _parse_floats(text: str) -> List[float]:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-_CONFIG_KEYS = {
-    "mode", "states", "energies", "energies_ev", "mus", "angles",
-    "angles_deg", "samples", "seed", "n_theta", "output", "format",
-    "threads", "eps_hplus_override_ev", "gnuplot",
-}
-
-
 def parse_config(path: str) -> RunConfig:
     """Parse a flat key = value run configuration file."""
     cfg = RunConfig()
@@ -126,8 +123,6 @@ def parse_config(path: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             if key == "mode":
                 cfg.mode = value.lower()
@@ -153,8 +148,10 @@ def parse_config(path: str) -> RunConfig:
                 cfg.threads = int(value)
             elif key == "eps_hplus_override_ev":
                 cfg.eps_hplus_override_ev = float(value)
-            elif key == "gnuplot":
-                cfg.gnuplot = value.lower() in ("1", "true", "yes", "on")
+            elif key in ("gnuplot", "m_resolved"):
+                setattr(cfg, key, value.lower() in ("1", "true", "yes", "on"))
+            else:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         except ConfigError:
             raise
         except ValueError as exc:
@@ -179,11 +176,11 @@ def _eval_point(task) -> CrossSectionRecord:
      eps_hplus, m_resolved) = task
     state = PsState.from_label(label)
     screen = ScreeningConfig(mu)
-    spec = IntegrationSpec(method="quasi-mc", samples=samples, seed=seed)
+    spec = IntegrationSpec(samples=samples, seed=seed)
     try:
         if mode == "sdcs":
             kin = kinematics(
-                energy, state, screen, theta_e=math.radians(theta_deg),
+                energy, state, theta_e=math.radians(theta_deg),
                 eps_hplus_override=eps_hplus,
             )
             rec = sdcs(kin, state, screen, spec, m_average=not m_resolved)

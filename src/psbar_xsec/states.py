@@ -307,7 +307,6 @@ def hplus_variational_energy(p: ChandrasekharParams = ChandrasekharParams()) -> 
 def kinematics(
     E_i: float,
     state: PsState,
-    screen: ScreeningConfig = ScreeningConfig(0.0),
     theta_e: float = 0.0,
     eps_hplus_override: Optional[float] = None,
 ) -> Kinematics:
@@ -318,7 +317,6 @@ def kinematics(
     """
     if not E_i > 0.0:
         raise ValueError(f"incident energy must be positive, got {E_i} eV")
-    del screen  # bound states are unscreened; screening enters elsewhere
     mu_i, mu_f = 2.0, 1.0
     eps_ps = ps_energy(state)
     eps_hbar = EPS_HBAR_DEFAULT

@@ -13,6 +13,9 @@ difference against a half-order quadrature of the same integrand.
 For the 2p state the reported value averages the three magnetic
 substates, (1/3) sum_m; per-m records are available with
 ``m_average=False``.
+
+Only |T|^2 enters, so the phase convention of the amplitude (the
+distortion is conjugated into the bra) does not affect any result.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import numpy as np
 
 from .amplitude import AmplitudeValue, IntegrationSpec, amplitude
 from .states import (
-    BelowThresholdError,
     Kinematics,
     PsState,
     ScreeningConfig,
@@ -75,14 +77,13 @@ def sdcs(
     screen: ScreeningConfig,
     spec: IntegrationSpec,
     m_average: bool = True,
-    conj_convention: bool = True,
 ) -> CrossSectionRecord:
     """Single differential cross section (k1/k_i)|T|^2 at kin.theta_e."""
     flux = kin.k1 / kin.k_i
     members = _m_states(state, m_average)
     tsqs, sigmas = [], []
     for st in members:
-        av = amplitude(kin, st, screen, spec, conj_convention=conj_convention)
+        av = amplitude(kin, st, screen, spec)
         tsq, sig = _tsq_debiased(av)
         tsqs.append(tsq)
         sigmas.append(sig)
@@ -123,7 +124,6 @@ def tcs(
     spec: IntegrationSpec,
     n_theta: int = 16,
     m_average: bool = True,
-    conj_convention: bool = True,
     eps_hplus_override: Optional[float] = None,
 ) -> CrossSectionRecord:
     """Total cross section at incident energy E_i (eV).
@@ -135,14 +135,13 @@ def tcs(
     if n_theta < 8:
         raise ValueError(f"need n_theta >= 8, got {n_theta}")
     # probe the threshold once up front for a clean error
-    kinematics(E_i, state, screen, eps_hplus_override=eps_hplus_override)
+    kinematics(E_i, state, eps_hplus_override=eps_hplus_override)
 
     def sdcs_at(theta):
         kin = kinematics(
-            E_i, state, screen, theta_e=theta,
-            eps_hplus_override=eps_hplus_override,
+            E_i, state, theta_e=theta, eps_hplus_override=eps_hplus_override
         )
-        rec = sdcs(kin, state, screen, spec, m_average, conj_convention)
+        rec = sdcs(kin, state, screen, spec, m_average)
         return rec.value, rec.std_err
 
     full, stat = integrate_over_angles(sdcs_at, n_theta)

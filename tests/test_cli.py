@@ -63,6 +63,7 @@ def test_config_file_round_trip(tmp_path):
         n_theta = 8
         output = sweep.csv
         format = csv
+        m_resolved = true
         """
     )
     cfg = parse_config(str(p))
@@ -71,6 +72,7 @@ def test_config_file_round_trip(tmp_path):
     assert len(cfg.energies) == 22
     assert cfg.mus == [0.0, 0.05, 0.1]
     assert cfg.n_theta == 8
+    assert cfg.m_resolved is True
 
 
 def test_config_errors_carry_line_numbers(tmp_path):
@@ -97,6 +99,11 @@ def test_config_validation():
         _cfg(angles=None).validate()
     with pytest.raises(ValueError):
         _cfg(states=["5g"]).validate()
+    # budgets the estimators reject fail before any grid point runs
+    with pytest.raises(ConfigError, match="samples"):
+        _cfg(samples=10).validate()
+    with pytest.raises(ConfigError, match="n_theta"):
+        _cfg(mode="tcs", angles=None, n_theta=4).validate()
 
 
 # ---------------------------------------------------------------------------

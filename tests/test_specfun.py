@@ -16,6 +16,9 @@ from psbar_xsec.specfun import (
     eikonal_phase,
     hyp1f1_b1,
     _asymptotic,
+    _asymptotic_edge,
+    _f64_band_edge,
+    _hyp1f1_b1_many,
     _taylor_dd,
     _taylor_f64,
 )
@@ -140,6 +143,25 @@ def test_hyp1f1_nonconvergence_raises():
     # double-double series
     with pytest.raises(ConvergenceError):
         hyp1f1_b1(40.0j, 70.0j)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("alpha", [0.3, 2.0, 5.0, 8.0])
+def test_hyp1f1_contract_vs_mpmath(alpha, sign):
+    # the documented contract: 1F1(+-i alpha; 1; +-i x) to 1e-9 relative
+    # for alpha <= 8 and x in [0, 1000], on every branch
+    mpmath = pytest.importorskip("mpmath")
+    x = np.concatenate([np.linspace(0.0, 60.0, 61), np.geomspace(60.0, 1000.0, 12)[1:]])
+    assert np.any(x < _f64_band_edge(alpha))
+    assert np.any((x >= _f64_band_edge(alpha)) & (x < _asymptotic_edge(alpha)))
+    assert np.any(x >= _asymptotic_edge(alpha))
+    got = _hyp1f1_b1_many(sign * 1j * alpha, sign * 1j * x)
+    with mpmath.workdps(40):
+        want = np.array([
+            complex(mpmath.hyp1f1(mpmath.mpc(0, sign * alpha), 1, mpmath.mpc(0, sign * xi)))
+            for xi in x
+        ])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9
 
 
 def test_hyp1f1_conjugation_symmetry():
