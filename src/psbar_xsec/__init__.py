@@ -45,6 +45,5 @@ from .amplitude import (
     amplitude_oracle_9d,
 )
 from .xsec import CrossSectionRecord, sdcs, tcs
-from .cli import RunConfig, ConfigError, parse_config, run, emit, read_records
 
 __version__ = "0.1.0"

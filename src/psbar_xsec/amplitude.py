@@ -66,6 +66,8 @@ __all__ = [
 REPLICATES = 8
 _ORACLE_CHUNK = 1 << 18
 _U_EPS = 2.0**-53
+#: the H-bar+ ion orbital every estimator uses
+_CHAND = ChandrasekharParams()
 
 
 class AccuracyNotReachedError(RuntimeError):
@@ -287,7 +289,6 @@ def reduced_integrand(
     screen: ScreeningConfig,
     state: PsState,
     distortion: Optional[DistortionParams] = None,
-    chand: ChandrasekharParams = ChandrasekharParams(),
 ) -> complex:
     """Value of the reduced (atom-positron already integrated) integrand.
 
@@ -302,7 +303,7 @@ def reduced_integrand(
     r1v = np.asarray(r1, dtype=float).reshape(1, 3)
     r2v = np.asarray(r2, dtype=float).reshape(1, 3)
     return complex(
-        _integrand_6d(r1v, r2v, screen, state, distortion, k1_vec, ki_vec, chand)[0]
+        _integrand_6d(r1v, r2v, screen, state, distortion, k1_vec, ki_vec, _CHAND)[0]
     )
 
 
@@ -417,7 +418,6 @@ def amplitude(
     state: PsState,
     screen: ScreeningConfig,
     spec: IntegrationSpec,
-    chand: ChandrasekharParams = ChandrasekharParams(),
 ) -> AmplitudeValue:
     """Randomized-QMC estimate of the prior-form transition amplitude.
 
@@ -428,7 +428,7 @@ def amplitude(
     """
     distortion = DistortionParams.for_momentum(kin.k1)
     k1_vec, ki_vec = beam_vectors(kin)
-    rates2, w2mix = _r2_mixture(chand)
+    rates2, w2mix = _r2_mixture(_CHAND)
     rate_rho = _rho_rate(state)
     m = max(7, round(math.log2(max(1.0, spec.samples / REPLICATES))))
 
@@ -441,7 +441,7 @@ def amplitude(
         rhov, pr = _vectors_from_uniform(u[:, 3:6], rate_rho)
         r1v = r2v + rhov
         vals = _integrand_6d(
-            r1v, r2v, screen, state, distortion, k1_vec, ki_vec, chand
+            r1v, r2v, screen, state, distortion, k1_vec, ki_vec, _CHAND
         )
         estimates[rep] = np.mean(vals / (p2 * pr))
 
@@ -460,7 +460,6 @@ def amplitude_oracle_9d(
     state: PsState,
     screen: ScreeningConfig,
     spec: IntegrationSpec,
-    chand: ChandrasekharParams = ChandrasekharParams(),
     vi_signs: Sequence[float] = (1.0, -1.0, -1.0, 1.0),
 ) -> AmplitudeValue:
     """Plain Monte Carlo estimate of the full nine-dimensional integral.
@@ -474,9 +473,9 @@ def amplitude_oracle_9d(
     distortion = DistortionParams.for_momentum(kin.k1)
     k1_vec, ki_vec = beam_vectors(kin)
     mu = screen.mu
-    rates2, w2mix = _r2_mixture(chand)
+    rates2, w2mix = _r2_mixture(_CHAND)
     rate_rho = _rho_rate(state)
-    rate3 = 1.0 + chand.beta
+    rate3 = 1.0 + _CHAND.beta
     s1, s2, s3, s4 = (float(s) for s in vi_signs)
 
     rng = np.random.default_rng(_task_seed(spec.seed, state, kin, "mc9d", 0))
@@ -514,7 +513,7 @@ def amplitude_oracle_9d(
             + s3 * np.exp(-mu * r13s) / r13s
             + s4 * np.exp(-mu * r23s) / r23s
         )
-        ion = hplus_wavefunction(chand, r2, r3)
+        ion = hplus_wavefunction(_CHAND, r2, r3)
         atom = _hbar_radial(r3)
         ps = _ps_wavefunction_many(state, rhov)
 

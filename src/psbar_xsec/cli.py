@@ -2,15 +2,18 @@
 
 Runs (state, energy, screening[, angle]) grids in parallel worker
 processes and writes one row per grid point.  Grid points below the
-formation threshold become explicit ``below_threshold`` rows.  Results
-are deterministic for a fixed seed regardless of the worker count: every
-grid point derives its own random stream from the master seed and its
-grid coordinates, and rows are assembled in grid order
-(state, energy, mu, angle).
+formation threshold become explicit ``below_threshold`` rows; a grid
+point that fails becomes an ``error`` row (the message goes to stderr)
+and the sweep goes on.  Results are deterministic for a fixed seed
+regardless of the worker count: every grid point derives its own random
+stream from the master seed and its grid coordinates, and rows are
+assembled in grid order (state, energy, mu, angle).
 
-Config files are flat ``key = value`` text with ``#`` comments; values
-may be scalars, comma lists (``0,0.05,0.1``) or inclusive ranges
-(``start:stop:count``).
+The settings table ``_SETTINGS`` is the one list of config-file keys and
+command-line flags; ``parse_config`` and ``build_parser`` are generated
+from it and defaults live only in ``RunConfig``.  Config files are flat
+``key = value`` text with ``#`` comments; values may be scalars, comma
+lists (``0,0.05,0.1``) or inclusive ranges (``start:stop:count``).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
@@ -52,44 +56,6 @@ class ConfigError(ValueError):
     """Malformed run configuration; message carries field/line context."""
 
 
-@dataclass
-class RunConfig:
-    mode: str = "sdcs"
-    states: List[str] = field(default_factory=lambda: ["1s"])
-    energies: List[float] = field(default_factory=lambda: [10.0])
-    mus: List[float] = field(default_factory=lambda: [0.0])
-    angles: Optional[List[float]] = None  # degrees; sdcs mode only
-    samples: int = 1_000_000
-    seed: int = 1
-    n_theta: int = 16
-    output: str = "xsec.csv"
-    fmt: str = "csv"
-    threads: Optional[int] = None
-    eps_hplus_override_ev: Optional[float] = None  # electron affinity, eV
-    gnuplot: bool = False
-    m_resolved: bool = False
-
-    def validate(self) -> "RunConfig":
-        if self.mode not in ("sdcs", "tcs"):
-            raise ConfigError(f"mode must be sdcs or tcs, got {self.mode!r}")
-        if not self.states or not self.energies or not self.mus:
-            raise ConfigError("states, energies and mus must be non-empty")
-        for label in self.states:
-            PsState.from_label(label)
-        if self.mode == "sdcs":
-            if not self.angles:
-                raise ConfigError("sdcs mode needs an angle grid")
-            if min(self.angles) < 0.0 or max(self.angles) > 180.0:
-                raise ConfigError("angles must lie within [0, 180] degrees")
-        elif self.n_theta < 8:
-            raise ConfigError(f"tcs mode needs n_theta >= 8, got {self.n_theta}")
-        if self.samples < 1000:
-            raise ConfigError(f"need at least 1000 samples, got {self.samples}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
-        return self
-
-
 def _parse_floats(text: str) -> List[float]:
     """Comma list ``a,b,c`` or inclusive range ``start:stop:count``."""
     text = text.strip()
@@ -107,13 +73,111 @@ def _parse_floats(text: str) -> List[float]:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
+def _parse_labels(text: str) -> List[str]:
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOLS[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {'/'.join(_BOOLS)}, got {text!r}") from None
+
+
+@dataclass
+class RunConfig:
+    mode: str = "sdcs"
+    states: List[str] = field(default_factory=lambda: ["1s"])
+    energies: List[float] = field(default_factory=lambda: [10.0])
+    mus: List[float] = field(default_factory=lambda: [0.0])
+    # degrees; sdcs mode only
+    angles: Optional[List[float]] = field(default_factory=lambda: _parse_floats("0:180:19"))
+    samples: int = 1_000_000
+    seed: int = 1
+    n_theta: int = 16
+    output: Optional[str] = None  # None: <mode>.<fmt>
+    fmt: Optional[str] = None  # None: json for a .json output, else csv
+    threads: Optional[int] = None
+    eps_hplus_override_ev: Optional[float] = None  # electron affinity, eV
+    gnuplot: bool = False
+    m_resolved: bool = False
+
+    def __post_init__(self):
+        if self.fmt is None:
+            json_out = self.output is not None and self.output.endswith(".json")
+            self.fmt = "json" if json_out else "csv"
+        if self.output is None:
+            self.output = f"{self.mode}.{self.fmt}"
+
+    def validate(self) -> "RunConfig":
+        if self.mode not in ("sdcs", "tcs"):
+            raise ConfigError(f"mode must be sdcs or tcs, got {self.mode!r}")
+        if not self.states or not self.energies or not self.mus:
+            raise ConfigError("states, energies and mus must be non-empty")
+        for label in self.states:
+            PsState.from_label(label)
+        if not all(math.isfinite(e) and e > 0.0 for e in self.energies):
+            raise ConfigError(f"energies must be finite and > 0, got {self.energies}")
+        if not all(math.isfinite(mu) and mu >= 0.0 for mu in self.mus):
+            raise ConfigError(f"mus must be finite and >= 0, got {self.mus}")
+        if self.mode == "sdcs":
+            if not self.angles:
+                raise ConfigError("sdcs mode needs an angle grid")
+            if min(self.angles) < 0.0 or max(self.angles) > 180.0:
+                raise ConfigError("angles must lie within [0, 180] degrees")
+        elif self.n_theta < 8:
+            raise ConfigError(f"tcs mode needs n_theta >= 8, got {self.n_theta}")
+        if self.samples < 1000:
+            raise ConfigError(f"need at least 1000 samples, got {self.samples}")
+        if self.fmt not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        return self
+
+
+# One run setting: its RunConfig field, config-file keys, command-line flag
+# (None: the subcommand), value parser, help text and the subcommands that
+# take the flag.
+_Setting = namedtuple("_Setting", "field keys flag parse help modes",
+                      defaults=(("sdcs", "tcs"),))
+_SETTINGS = (
+    _Setting("mode", ("mode",), None, str.lower, "sdcs or tcs"),
+    _Setting("states", ("states",), "--state", _parse_labels,
+             "comma list: 1s,2s,2p,3s"),
+    _Setting("energies", ("energies", "energies_ev"), "--energy-ev", _parse_floats,
+             "incident energies in eV: list a,b,c or range start:stop:count"),
+    _Setting("mus", ("mus",), "--mu", _parse_floats, "screening parameters, a.u."),
+    _Setting("angles", ("angles", "angles_deg"), "--angles", _parse_floats,
+             "degrees, range start:stop:count or list", ("sdcs",)),
+    _Setting("samples", ("samples",), "--samples", int, "samples per amplitude"),
+    _Setting("seed", ("seed",), "--seed", int, "master seed"),
+    _Setting("n_theta", ("n_theta",), "--n-theta", int,
+             "Gauss-Legendre order of the angular integral", ("tcs",)),
+    _Setting("output", ("output",), "--out", str, "output path"),
+    _Setting("fmt", ("format",), "--format", str.lower, "csv or json"),
+    _Setting("threads", ("threads",), "--threads", int, "worker processes"),
+    _Setting("eps_hplus_override_ev", ("eps_hplus_override_ev",),
+             "--eps-hplus-override", float,
+             "electron affinity of the ion in eV (default 0.75)"),
+    _Setting("gnuplot", ("gnuplot",), "--gnuplot", _parse_bool,
+             "also emit a plot script"),
+    _Setting("m_resolved", ("m_resolved",), "--m-resolved", _parse_bool,
+             "report the labelled m substate instead of the m average"),
+)
+_SETTING_BY_KEY = {key: s for s in _SETTINGS for key in s.keys}
+
+
 def parse_config(path: str) -> RunConfig:
     """Parse a flat key = value run configuration file."""
-    cfg = RunConfig()
     try:
-        lines = open(path, "r", encoding="utf-8").read().splitlines()
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    values = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -122,41 +186,14 @@ def parse_config(path: str) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        value = value.strip()
+        setting = _SETTING_BY_KEY.get(key)
+        if setting is None:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key == "mode":
-                cfg.mode = value.lower()
-            elif key == "states":
-                cfg.states = [tok.strip() for tok in value.split(",") if tok.strip()]
-            elif key in ("energies", "energies_ev"):
-                cfg.energies = _parse_floats(value)
-            elif key == "mus":
-                cfg.mus = _parse_floats(value)
-            elif key in ("angles", "angles_deg"):
-                cfg.angles = _parse_floats(value)
-            elif key == "samples":
-                cfg.samples = int(value)
-            elif key == "seed":
-                cfg.seed = int(value)
-            elif key == "n_theta":
-                cfg.n_theta = int(value)
-            elif key == "output":
-                cfg.output = value
-            elif key == "format":
-                cfg.fmt = value.lower()
-            elif key == "threads":
-                cfg.threads = int(value)
-            elif key == "eps_hplus_override_ev":
-                cfg.eps_hplus_override_ev = float(value)
-            elif key in ("gnuplot", "m_resolved"):
-                setattr(cfg, key, value.lower() in ("1", "true", "yes", "on"))
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        except ConfigError:
-            raise
+            values[setting.field] = setting.parse(value.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    return cfg.validate()
+    return RunConfig(**values).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -164,63 +201,54 @@ def parse_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _eps_hplus_au(cfg: RunConfig) -> Optional[float]:
-    if cfg.eps_hplus_override_ev is None:
-        return None
-    return -0.5 - cfg.eps_hplus_override_ev / HARTREE_EV
-
-
 def _eval_point(task) -> CrossSectionRecord:
     """Worker entry: one grid point.  Must stay top-level (pickling)."""
-    (mode, label, energy, mu, theta_deg, samples, seed, n_theta,
-     eps_hplus, m_resolved) = task
+    cfg, label, energy, mu, theta_deg = task
     state = PsState.from_label(label)
-    screen = ScreeningConfig(mu)
-    spec = IntegrationSpec(samples=samples, seed=seed)
+    eps_ev = cfg.eps_hplus_override_ev
+    eps_hplus = None if eps_ev is None else -0.5 - eps_ev / HARTREE_EV
+    spec = IntegrationSpec(samples=cfg.samples, seed=cfg.seed)
     try:
-        if mode == "sdcs":
+        screen = ScreeningConfig(mu)
+        if cfg.mode == "sdcs":
             kin = kinematics(
                 energy, state, theta_e=math.radians(theta_deg),
                 eps_hplus_override=eps_hplus,
             )
-            rec = sdcs(kin, state, screen, spec, m_average=not m_resolved)
+            rec = sdcs(kin, state, screen, spec, m_average=not cfg.m_resolved)
             # carry the requested angle exactly (not the radian round-trip)
             return replace(rec, theta_deg=theta_deg)
         return tcs(
-            energy, state, screen, spec, n_theta=n_theta,
-            m_average=not m_resolved, eps_hplus_override=eps_hplus,
+            energy, state, screen, spec, n_theta=cfg.n_theta,
+            m_average=not cfg.m_resolved, eps_hplus_override=eps_hplus,
         )
     except BelowThresholdError:
-        return CrossSectionRecord(
-            state=state, E_i=energy, mu=mu,
-            theta_deg=theta_deg if mode == "sdcs" else None,
-            value=None, std_err=None, status="below_threshold",
+        status = "below_threshold"
+    except Exception as exc:  # one failing point must not end the sweep
+        print(
+            f"error: grid point (state={label}, E_i={energy} eV, mu={mu}"
+            + (f", theta={theta_deg} deg" if theta_deg is not None else "")
+            + f") failed: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
         )
-    except Exception as exc:
-        raise RuntimeError(
-            f"grid point (state={label}, E_i={energy} eV, mu={mu}"
-            + (f", theta={theta_deg} deg" if mode == "sdcs" else "")
-            + f") failed: {exc}"
-        ) from exc
-
-
-def _grid(cfg: RunConfig):
-    eps_hplus = _eps_hplus_au(cfg)
-    thetas = cfg.angles if cfg.mode == "sdcs" else [None]
-    for label in cfg.states:
-        for energy in cfg.energies:
-            for mu in cfg.mus:
-                for theta in thetas:
-                    yield (
-                        cfg.mode, label, energy, mu, theta, cfg.samples,
-                        cfg.seed, cfg.n_theta, eps_hplus, cfg.m_resolved,
-                    )
+        status = "error"
+    return CrossSectionRecord(
+        state=state, E_i=energy, mu=mu, theta_deg=theta_deg,
+        value=None, std_err=None, status=status,
+    )
 
 
 def run(cfg: RunConfig) -> List[CrossSectionRecord]:
     """Evaluate the whole grid; one record per point, in grid order."""
     cfg.validate()
-    tasks = list(_grid(cfg))
+    thetas = cfg.angles if cfg.mode == "sdcs" else [None]
+    tasks = [
+        (cfg, label, energy, mu, theta)
+        for label in cfg.states
+        for energy in cfg.energies
+        for mu in cfg.mus
+        for theta in thetas
+    ]
     threads = cfg.threads
     if threads is None:
         threads = int(os.environ.get("PSBAR_THREADS", "0")) or os.cpu_count() or 1
@@ -235,8 +263,15 @@ def run(cfg: RunConfig) -> List[CrossSectionRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else format(x, ".17e")
+def _row(r: CrossSectionRecord) -> tuple:
+    """One output row in CSV_HEADER column order (the record's field order)."""
+    return (r.state.label, r.E_i, r.mu, r.theta_deg, r.value, r.std_err, r.status)
+
+
+def _fmt(x) -> str:
+    if x is None:
+        return ""
+    return x if isinstance(x, str) else format(x, ".17e")
 
 
 def emit(records: Sequence[CrossSectionRecord], path: str, fmt: str = "csv") -> str:
@@ -244,37 +279,12 @@ def emit(records: Sequence[CrossSectionRecord], path: str, fmt: str = "csv") -> 
     if not records:
         raise ValueError("no records to emit")
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in records:
-            lines.append(
-                ",".join(
-                    (
-                        r.state.label,
-                        _fmt(r.E_i),
-                        _fmt(r.mu),
-                        _fmt(r.theta_deg),
-                        _fmt(r.value),
-                        _fmt(r.std_err),
-                        r.status,
-                    )
-                )
-            )
+        lines = [CSV_HEADER] + [",".join(map(_fmt, _row(r))) for r in records]
         payload = "\n".join(lines) + "\n"
     elif fmt == "json":
+        columns = CSV_HEADER.split(",")
         payload = json.dumps(
-            [
-                {
-                    "state": r.state.label,
-                    "E_i_eV": r.E_i,
-                    "mu_au": r.mu,
-                    "theta_deg": r.theta_deg,
-                    "value_au": r.value,
-                    "std_err_au": r.std_err,
-                    "status": r.status,
-                }
-                for r in records
-            ],
-            indent=1,
+            [dict(zip(columns, _row(r))) for r in records], indent=1
         ) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -297,17 +307,12 @@ def read_records(path: str) -> List[CrossSectionRecord]:
             raw = raw.rstrip("\n")
             if not raw:
                 continue
-            parts = raw.split(",")
-            label, e_i, mu, theta, value, err, status = parts
+            label, *numbers, status = raw.split(",")
             records.append(
                 CrossSectionRecord(
-                    state=PsState.from_label(label),
-                    E_i=float(e_i),
-                    mu=float(mu),
-                    theta_deg=float(theta) if theta else None,
-                    value=float(value) if value else None,
-                    std_err=float(err) if err else None,
-                    status=status,
+                    PsState.from_label(label),
+                    *(float(x) if x else None for x in numbers),
+                    status,
                 )
             )
     return records
@@ -349,75 +354,38 @@ def _emit_gnuplot(cfg: RunConfig, records: Sequence[CrossSectionRecord]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--state", default="1s", help="comma list: 1s,2s,2p,3s")
-    p.add_argument("--energy-ev", default="10", help="list a,b,c or range start:stop:count")
-    p.add_argument("--mu", default="0", help="screening parameters, a.u.")
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", default=None, help="output path")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--gnuplot", action="store_true", help="also emit a plot script")
-    p.add_argument("--m-resolved", action="store_true",
-                   help="report the labelled m substate instead of the m average")
-    p.add_argument("--eps-hplus-override", type=float, default=None, metavar="EV",
-                   help="electron affinity of the ion in eV (default 0.75)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psbar-xsec",
         description="Ion-formation cross sections for Ps impact on "
         "ground-state antihydrogen in a Debye plasma.",
     )
-    parser.add_argument("--config", default=None, help="run configuration file")
+    parser.add_argument("--config", default=None,
+                        help="run configuration file (used in place of a subcommand)")
     sub = parser.add_subparsers(dest="mode")
-    p_sdcs = sub.add_parser("sdcs", help="differential cross section vs angle")
-    _add_common(p_sdcs)
-    p_sdcs.add_argument("--angles", default="0:180:19",
-                        help="degrees, range start:stop:count or list")
-    p_tcs = sub.add_parser("tcs", help="total cross section")
-    _add_common(p_tcs)
-    p_tcs.add_argument("--n-theta", type=int, default=16,
-                       help="Gauss-Legendre order of the angular integral")
+    for mode, text in (("sdcs", "differential cross section vs angle"),
+                       ("tcs", "total cross section")):
+        # flags not given stay unset, so the defaults are RunConfig's
+        p = sub.add_parser(mode, help=text, argument_default=argparse.SUPPRESS)
+        for s in _SETTINGS:
+            if s.flag is None or mode not in s.modes:
+                continue
+            if s.parse is _parse_bool:
+                p.add_argument(s.flag, dest=s.field, action="store_true", help=s.help)
+            else:
+                p.add_argument(s.flag, dest=s.field, type=s.parse, help=s.help)
     return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(mode=args.mode)
-    cfg.states = [tok.strip() for tok in args.state.split(",") if tok.strip()]
-    cfg.energies = _parse_floats(args.energy_ev)
-    cfg.mus = _parse_floats(args.mu)
-    if args.mode == "sdcs":
-        cfg.angles = _parse_floats(args.angles)
-    else:
-        cfg.n_theta = args.n_theta
-    cfg.samples = args.samples
-    cfg.seed = args.seed
-    cfg.threads = args.threads
-    cfg.gnuplot = args.gnuplot
-    cfg.m_resolved = args.m_resolved
-    cfg.eps_hplus_override_ev = args.eps_hplus_override
-    if args.fmt is not None:
-        cfg.fmt = args.fmt
-    if args.out is not None:
-        cfg.output = args.out
-        if args.fmt is None and args.out.endswith(".json"):
-            cfg.fmt = "json"
-    else:
-        cfg.output = f"{args.mode}.{cfg.fmt}"
-    return cfg.validate()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
+    config = args.pop("config")
     try:
-        if args.config is not None:
-            cfg = parse_config(args.config)
-        elif args.mode is not None:
-            cfg = _config_from_args(args)
+        if config is not None:
+            cfg = parse_config(config)
+        elif args["mode"] is not None:
+            cfg = RunConfig(**args).validate()
         else:
             parser.print_help()
             return 2
@@ -426,13 +394,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"wrote {len(records)} records to {cfg.output}")
         if cfg.gnuplot:
             print(f"wrote plot script {_emit_gnuplot(cfg, records)}")
+        n_failed = sum(r.status == "error" for r in records)
+        if n_failed:
+            print(f"error: {n_failed} grid points failed", file=sys.stderr)
+            return 1
         return 0
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -134,8 +134,6 @@ def tcs(
     """
     if n_theta < 8:
         raise ValueError(f"need n_theta >= 8, got {n_theta}")
-    # probe the threshold once up front for a clean error
-    kinematics(E_i, state, eps_hplus_override=eps_hplus_override)
 
     def sdcs_at(theta):
         kin = kinematics(

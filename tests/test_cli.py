@@ -2,10 +2,13 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import psbar_xsec.cli as cli
 from psbar_xsec.cli import (
     CSV_HEADER,
     ConfigError,
@@ -83,9 +86,10 @@ def test_config_errors_carry_line_numbers(tmp_path):
     p.write_text("mode = sdcs\nnot_a_key = 3\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(str(p))
-    p.write_text("mode = sdcs\nsamples = many\n")
-    with pytest.raises(ConfigError, match=r"bad\.cfg:2: bad value"):
-        parse_config(str(p))
+    for bad in ("samples = many", "gnuplot = ture", "m_resolved = 2"):
+        p.write_text(f"mode = sdcs\n{bad}\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg:2: bad value"):
+            parse_config(str(p))
 
 
 def test_config_validation():
@@ -104,6 +108,13 @@ def test_config_validation():
         _cfg(samples=10).validate()
     with pytest.raises(ConfigError, match="n_theta"):
         _cfg(mode="tcs", angles=None, n_theta=4).validate()
+    # grid values the physics rejects also fail up front
+    for energies in ([-3.0, 10.0], [0.0], [math.nan], [math.inf]):
+        with pytest.raises(ConfigError, match="energies"):
+            _cfg(energies=energies).validate()
+    for mus in ([0.0, -0.1], [math.nan], [math.inf]):
+        with pytest.raises(ConfigError, match="mus"):
+            _cfg(mus=mus).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +261,74 @@ def test_main_gnuplot_script(tmp_path):
     script = out.with_suffix(".csv.plt")
     assert script.exists()
     assert str(out) in script.read_text()
+
+
+def test_failing_point_becomes_error_row(tmp_path, monkeypatch, capsys):
+    real_sdcs = cli.sdcs
+
+    def sdcs_failing_at_90(kin, *args, **kwargs):
+        if math.isclose(math.degrees(kin.theta_e), 90.0):
+            raise FloatingPointError("injected failure")
+        return real_sdcs(kin, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "sdcs", sdcs_failing_at_90)
+    out = tmp_path / "e.csv"
+    rc = main(
+        [
+            "sdcs", "--angles", "30,90,150", "--samples", "2048", "--seed", "3",
+            "--threads", "1", "--out", str(out),
+        ]
+    )
+    assert rc == 1
+    recs = read_records(str(out))
+    assert [r.status for r in recs] == ["ok", "error", "ok"]
+    assert recs[1].value is None and recs[1].theta_deg == 90.0
+    err = capsys.readouterr().err
+    assert "theta=90.0 deg" in err and "injected failure" in err
+
+
+def test_config_file_and_flags_agree(tmp_path, monkeypatch):
+    seen = []
+    rec = CrossSectionRecord(PsState.from_label("1s"), 10.0, 0.0, None, 1.0, 0.1)
+    monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or [rec])
+    monkeypatch.chdir(tmp_path)
+    settings = [
+        ("states", "--state", "1s,2p"), ("energies_ev", "--energy-ev", "8:20:3"),
+        ("mus", "--mu", "0,0.1"), ("samples", "--samples", "4096"),
+        ("seed", "--seed", "5"), ("threads", "--threads", "2"),
+        ("eps_hplus_override_ev", "--eps-hplus-override", "0.7"),
+    ]
+    per_mode = {
+        "sdcs": [("angles_deg", "--angles", "0:90:4")],
+        "tcs": [("n_theta", "--n-theta", "8")],
+    }
+    for mode in ("sdcs", "tcs"):
+        for out in ([], [("output", "--out", "x.json")]):
+            given = settings + per_mode[mode] + out
+            flags = [mode, "--gnuplot", "--m-resolved"]
+            flags += [tok for _, flag, value in given for tok in (flag, value)]
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(
+                f"mode = {mode}\ngnuplot = on\nm_resolved = yes\n"
+                + "".join(f"{key} = {value}\n" for key, _, value in given)
+            )
+            assert main(flags) == 0
+            assert main(["--config", str(cfg_file)]) == 0
+            from_flags, from_file = seen[-2:]
+            assert from_flags == from_file
+            assert from_file.output == ("x.json" if out else f"{mode}.csv")
+            assert from_file.fmt == ("json" if out else "csv")
+
+
+def test_module_entry_point_has_no_runtime_warning():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "psbar_xsec.cli", "--help"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage" in proc.stdout.lower()
 
 
 def test_main_bad_config_returns_2(tmp_path):
