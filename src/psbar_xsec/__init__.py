@@ -11,13 +11,9 @@ into single-differential and total cross sections.
 from .specfun import (
     DistortionParams,
     SpecialFunctionError,
-    GammaPoleError,
     ConvergenceError,
-    DegenerateGeometryError,
-    cgamma,
     hyp1f1_b1,
     coulomb_distortion,
-    eikonal_phase,
 )
 from .states import (
     HARTREE_EV,
@@ -37,7 +33,6 @@ from .states import (
 from .amplitude import (
     IntegrationSpec,
     AmplitudeValue,
-    AccuracyNotReachedError,
     yukawa_exp_convolution,
     inner_r3_reduction,
     reduced_integrand,

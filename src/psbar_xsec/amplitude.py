@@ -15,7 +15,7 @@ A plain Monte Carlo estimator of the full nine-dimensional integral,
 with every perturbation term evaluated pointwise, is kept as
 :func:`amplitude_oracle_9d` to validate the reduction end to end.  Both
 take the geometry, the validity mask and the wave part (Coulomb
-distortion, conjugated into the bra, x eikonal phase x plane waves) from
+distortion, complex conjugate in the bra, x eikonal phase x plane waves) from
 one kernel, ``_wave_factors``.
 
 Geometry: the ejected-electron momentum defines the polar axis; the
@@ -53,7 +53,6 @@ from .states import (
 __all__ = [
     "IntegrationSpec",
     "AmplitudeValue",
-    "AccuracyNotReachedError",
     "REPLICATES",
     "yukawa_exp_convolution",
     "inner_r3_reduction",
@@ -70,31 +69,16 @@ _U_EPS = 2.0**-53
 _CHAND = ChandrasekharParams()
 
 
-class AccuracyNotReachedError(RuntimeError):
-    """Relative statistical error above target at the full sample budget."""
-
-
 @dataclass(frozen=True)
 class IntegrationSpec:
-    """Monte Carlo budget and reproducibility knobs.
-
-    ``target_rel_err`` is opt-in: when set, estimates whose relative
-    statistical error exceeds it raise
-    :class:`AccuracyNotReachedError` (angles where the amplitude is
-    compatible with zero would otherwise abort whole sweeps).
-    """
+    """Monte Carlo budget and reproducibility knobs."""
 
     samples: int = 1_000_000
     seed: int = 1
-    target_rel_err: Optional[float] = None
 
     def __post_init__(self):
         if self.samples < 1000:
             raise ValueError(f"need at least 1000 samples, got {self.samples}")
-        if self.target_rel_err is not None and not 0.0 < self.target_rel_err < 1.0:
-            raise ValueError(
-                f"target_rel_err must lie in (0, 1), got {self.target_rel_err}"
-            )
 
 
 @dataclass(frozen=True)
@@ -253,7 +237,7 @@ def _wave_factors(
     b1s = np.where(valid, b1, 1.0)
     b2s = np.where(valid, b2, 1.0)
 
-    dist = _coulomb_distortion_many(distortion, r1v, k1_vec, conjugated=True)
+    dist = _coulomb_distortion_many(distortion, r1v, k1_vec)
     eik = np.exp(-1j * distortion.eta1 * (np.log(b1s) - np.log(b2s)))
     rr = 0.5 * (r1v + r2v)
     plane = np.exp(1j * (rr @ ki_vec - r1v @ k1_vec))
@@ -403,16 +387,6 @@ def _task_seed(
 # ---------------------------------------------------------------------------
 
 
-def _check_accuracy(t: complex, std_err: float, spec: IntegrationSpec) -> None:
-    if spec.target_rel_err is None:
-        return
-    if abs(t) == 0.0 or std_err / abs(t) > spec.target_rel_err:
-        raise AccuracyNotReachedError(
-            f"relative error {std_err / abs(t) if abs(t) else math.inf:.3g} "
-            f"above target {spec.target_rel_err} at {spec.samples} samples"
-        )
-
-
 def amplitude(
     kin: Kinematics,
     state: PsState,
@@ -451,7 +425,6 @@ def amplitude(
     se_re = float(np.std(estimates.real, ddof=1) / math.sqrt(REPLICATES))
     se_im = float(np.std(estimates.imag, ddof=1) / math.sqrt(REPLICATES))
     std_err = math.hypot(se_re, se_im)
-    _check_accuracy(t, std_err, spec)
     return AmplitudeValue(t=t, std_err=std_err)
 
 
@@ -532,5 +505,4 @@ def amplitude_oracle_9d(
     var_im = max(0.0, acc_im2 / n_total - mean.imag**2)
     t = pref * complex(mean)
     std_err = abs(pref) * math.sqrt((var_re + var_im) / max(1, n_total - 1))
-    _check_accuracy(t, std_err, spec)
     return AmplitudeValue(t=t, std_err=std_err)

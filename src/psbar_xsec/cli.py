@@ -354,6 +354,16 @@ def _emit_gnuplot(cfg: RunConfig, records: Sequence[CrossSectionRecord]) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _flag_type(parse):
+    """argparse ``type`` for a setting parser that reports the parser's reason."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psbar-xsec",
@@ -373,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
             if s.parse is _parse_bool:
                 p.add_argument(s.flag, dest=s.field, action="store_true", help=s.help)
             else:
-                p.add_argument(s.flag, dest=s.field, type=s.parse, help=s.help)
+                p.add_argument(s.flag, dest=s.field, type=_flag_type(s.parse),
+                              help=s.help)
     return parser
 
 

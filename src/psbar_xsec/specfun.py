@@ -1,10 +1,12 @@
 """Complex special functions for the Coulomb-distorted ejected electron.
 
-The distorted continuum state of the ejected electron combines a complex
-gamma normalization, the confluent hypergeometric function 1F1(a; 1; z)
-with a on (or one unit off) the imaginary axis and z on the imaginary
-axis, and unit-modulus eikonal phase factors.  scipy's hyp1f1 only takes
-real parameters, so the hypergeometric evaluation lives here.
+The distorted continuum state of the ejected electron combines the
+normalization e^{-pi alpha/2} Gamma(1 - i alpha) and the confluent
+hypergeometric function 1F1(a; 1; z) with a on (or one unit off) the
+imaginary axis and z on the imaginary axis.  The complex gamma comes from
+scipy (``scipy.special.gamma`` and ``rgamma``); scipy's hyp1f1 only takes
+real parameters, so the hypergeometric evaluation lives here.  The
+eikonal phase is computed inline by ``amplitude._wave_factors``.
 
 Evaluation strategy for 1F1(a; 1; z), calibrated against 40-digit mpmath
 reference values:
@@ -20,29 +22,30 @@ reference values:
   with the smallest retained term as an error estimate; if the estimate
   misses tolerance the double-double series is used as a fallback.
 
+The branches are verified only for |a| <= 8 (ejected electron above
+~0.21 eV); beyond that the error grows quickly (1e-8 at |a| = 9, 1e-3 at
+12), so larger |a| raises :class:`ConvergenceError` instead of returning
+a wrong value.
+
 All functions are pure; callers may evaluate from any number of workers.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gamma, rgamma
 
 from . import _dd
 
 __all__ = [
     "DistortionParams",
     "SpecialFunctionError",
-    "GammaPoleError",
     "ConvergenceError",
-    "DegenerateGeometryError",
-    "cgamma",
     "hyp1f1_b1",
     "coulomb_distortion",
-    "eikonal_phase",
     "EPS_GEOM",
 ]
 
@@ -51,6 +54,7 @@ __all__ = [
 EPS_GEOM = 1e-12
 
 _HYP_TOL = 1e-9  # internal accuracy target, one digit under the 1e-8 contract
+_A_MAX = 8.0  # largest |a| at which every 1F1 branch is verified
 _DD_MAX_ABS_Z = 60.0
 _TAYLOR_MAX_TERMS = 900
 
@@ -59,16 +63,8 @@ class SpecialFunctionError(Exception):
     """Base class for special-function failures."""
 
 
-class GammaPoleError(SpecialFunctionError):
-    """Gamma evaluated at a non-positive integer."""
-
-
 class ConvergenceError(SpecialFunctionError):
-    """Neither series nor asymptotic branch met the accuracy target."""
-
-
-class DegenerateGeometryError(SpecialFunctionError):
-    """Eikonal phase requested on the negative polar axis (r + z ~ 0)."""
+    """No 1F1 branch meets the accuracy target at the requested arguments."""
 
 
 @dataclass(frozen=True)
@@ -90,64 +86,6 @@ class DistortionParams:
         if not k1 > 0.0:
             raise ValueError(f"ejected momentum must be positive, got {k1}")
         return cls(alpha1=1.0 / k1, eta1=1.0 / k1, k1=k1)
-
-
-# ---------------------------------------------------------------------------
-# complex gamma
-# ---------------------------------------------------------------------------
-
-# Lanczos approximation, g = 607/128, 15 coefficients.  Relative error of
-# the rational part is ~1e-15 on the right half plane; the reflection
-# formula extends it to Re z < 0.5.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-
-def _is_nonpositive_integer(z: complex) -> bool:
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
-
-
-def cgamma(z: complex) -> complex:
-    """Complex gamma function.
-
-    Accurate to better than 1e-12 relative for |Im z| <= 50.  Raises
-    :class:`GammaPoleError` at the poles z = 0, -1, -2, ...
-    """
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise GammaPoleError(f"gamma pole at z = {z}")
-    if z.real < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * cgamma(1.0 - z))
-    zm = z - 1.0
-    series = complex(_LANCZOS_C[0])
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        series += c / (zm + i)
-    t = zm + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (zm + 0.5) * cmath.exp(-t) * series
-
-
-def _rcgamma(z: complex) -> complex:
-    """1/Gamma(z); zero at the poles instead of raising."""
-    if _is_nonpositive_integer(z):
-        return 0.0 + 0.0j
-    return 1.0 / cgamma(z)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +144,8 @@ def _asymptotic(a: complex, z: np.ndarray):
     """
     sgn = np.where(z.imag >= 0.0, 1.0, -1.0)
     logz = np.log(z)
-    pref1 = np.exp(1j * math.pi * a * sgn - a * logz) * _rcgamma(1.0 - a)
-    pref2 = np.exp(z + (a - 1.0) * logz) * _rcgamma(a)
+    pref1 = np.exp(1j * math.pi * a * sgn - a * logz) * rgamma(1.0 - a)
+    pref2 = np.exp(z + (a - 1.0) * logz) * rgamma(a)
 
     def summed(c: complex, w: np.ndarray):
         term = np.ones_like(w, dtype=np.complex128)
@@ -256,10 +194,15 @@ def _asymptotic_edge(a_mag: float) -> float:
 def _hyp1f1_b1_many(a: complex, z: np.ndarray) -> np.ndarray:
     """Vectorized 1F1(a; 1; z) over an array of z, fixed a."""
     a = complex(a)
+    a_mag = abs(a)
+    if a_mag > _A_MAX:
+        raise ConvergenceError(
+            f"1F1({a}; 1; z): |a| = {a_mag:.4g} is above {_A_MAX:g}, where "
+            "no branch is verified (ejected electron too close to threshold)"
+        )
     z = np.asarray(z, dtype=np.complex128)
     out = np.empty(z.shape, dtype=np.complex128)
     az = np.abs(z)
-    a_mag = abs(a)
     lo = _f64_band_edge(a_mag)
     hi = _asymptotic_edge(a_mag)
 
@@ -270,21 +213,13 @@ def _hyp1f1_b1_many(a: complex, z: np.ndarray) -> np.ndarray:
     if np.any(small):
         out[small] = _taylor_f64(a, z[small])
     if np.any(mid):
-        zm = z[mid]
-        # beyond ~e^60 of cancellation even the double-double series is out
-        if np.any(np.abs(zm) > _DD_MAX_ABS_Z):
-            worst = zm[np.abs(zm) > _DD_MAX_ABS_Z][0]
-            raise ConvergenceError(
-                f"1F1({a}; 1; z) did not converge at z = {worst}: the "
-                "coupling is too strong for the asymptotic expansion there "
-                "and |z| too large for the double-double series"
-            )
-        out[mid] = _taylor_dd(a, zm)
+        out[mid] = _taylor_dd(a, z[mid])
     if np.any(big):
         vals, rel = _asymptotic(a, z[big])
         bad = rel > _HYP_TOL
         if np.any(bad):
             zb = z[big][bad]
+            # beyond ~e^60 of cancellation even the double-double series is out
             rescue = np.abs(zb) <= _DD_MAX_ABS_Z
             if not np.all(rescue):
                 worst = zb[~rescue][0]
@@ -303,10 +238,10 @@ def hyp1f1_b1(a: complex, z: complex) -> complex:
 
     Intended for a = +-i alpha, z = +-i x (x >= 0), the Coulomb
     distortion's form.  Verified against 40-digit mpmath to 1e-9 relative
-    for |alpha| <= 8, x in [0, 1000], both signs, every branch.  Larger
-    alpha (an ejected electron below ~0.14 eV) is open, see ROADMAP.md:
-    the error grows silently, to 3e-7 at alpha = 10 and ~1e2 at 15.
-    Raises :class:`ConvergenceError` if no branch meets tolerance.
+    for |alpha| <= 8, x in [0, 1000], both signs, every branch.  Raises
+    :class:`ConvergenceError` for |a| > 8 (an ejected electron below
+    ~0.21 eV, where the branches lose accuracy: 1e-8 at |a| = 9, 1e-3 at
+    12; see ROADMAP.md) and if no branch meets tolerance.
     """
     result = _hyp1f1_b1_many(complex(a), np.array([complex(z)]))[0]
     if not (math.isfinite(result.real) and math.isfinite(result.imag)):
@@ -315,74 +250,43 @@ def hyp1f1_b1(a: complex, z: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Coulomb distortion and eikonal phase
+# Coulomb distortion
 # ---------------------------------------------------------------------------
 
 
-def _coulomb_norm(alpha1: float, conjugated: bool) -> complex:
-    """exp(-pi alpha1/2) Gamma(1 -+ i alpha1): the continuum normalization."""
-    sign = -1.0 if conjugated else 1.0
-    return math.exp(-0.5 * math.pi * alpha1) * cgamma(1.0 + sign * 1j * alpha1)
+def _coulomb_norm(alpha1: float) -> complex:
+    """exp(-pi alpha1/2) Gamma(1 - i alpha1): the continuum normalization."""
+    return math.exp(-0.5 * math.pi * alpha1) * gamma(1.0 - 1j * alpha1)
 
 
 def _coulomb_distortion_many(
     p: DistortionParams,
     r1: np.ndarray,
     k1_vec: np.ndarray,
-    conjugated: bool,
 ) -> np.ndarray:
     """Vectorized normalization x hypergeometric over rows of r1 (N, 3)."""
     if p.alpha1 == 0.0:
         return np.ones(r1.shape[0], dtype=np.complex128)
     radii = np.sqrt(np.einsum("ij,ij->i", r1, r1))
     x = p.k1 * radii + r1 @ k1_vec
-    sign = 1.0 if conjugated else -1.0
-    a = sign * 1j * p.alpha1
-    vals = _hyp1f1_b1_many(a, sign * 1j * x)
-    return _coulomb_norm(p.alpha1, conjugated) * vals
+    vals = _hyp1f1_b1_many(1j * p.alpha1, 1j * x)
+    return _coulomb_norm(p.alpha1) * vals
 
 
-def coulomb_distortion(
-    p: DistortionParams,
-    r1,
-    k1_vec,
-    conjugated: bool = True,
-) -> complex:
+def coulomb_distortion(p: DistortionParams, r1, k1_vec) -> complex:
     """Coulomb distortion factor of the ejected electron at position r1.
 
-    Returns exp(-pi alpha1/2) Gamma(1 -+ i alpha1)
-    1F1[+-i alpha1; 1; +-i(k1 r1 + k1.r1)], the upper signs for
-    ``conjugated=True`` (the form that enters the transition amplitude as
-    part of the bra) and the lower signs for the state itself.  The two
-    are complex conjugates of each other.  The plane-wave factor is not
-    included.
+    Returns exp(-pi alpha1/2) Gamma(1 - i alpha1)
+    1F1[i alpha1; 1; i(k1 r1 + k1.r1)], the complex conjugate of the
+    state's own factor: the form that enters the transition amplitude as
+    part of the bra.  The plane-wave factor is not included.
     """
     r1 = np.asarray(r1, dtype=float).reshape(1, 3)
     k1_vec = np.asarray(k1_vec, dtype=float)
     k1 = float(np.linalg.norm(k1_vec))
     if p.alpha1 != 0.0 and not math.isclose(k1, p.k1, rel_tol=1e-12):
         raise ValueError(f"|k1_vec| = {k1} does not match params.k1 = {p.k1}")
-    out = complex(_coulomb_distortion_many(p, r1, k1_vec, conjugated)[0])
+    out = complex(_coulomb_distortion_many(p, r1, k1_vec)[0])
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise ConvergenceError("coulomb_distortion produced a non-finite value")
     return out
-
-
-def eikonal_phase(r1, r12, eta1: float) -> complex:
-    """Eikonal phase (r1 + z1)^{i eta1} (r12 + z12)^{-i eta1}.
-
-    z components are taken literally (the caller has already rotated the
-    ejected-electron momentum onto the polar axis).  Unit modulus by
-    construction; conjugate for the bra-side convention.  Points on the
-    negative polar axis (either base below EPS_GEOM) raise
-    :class:`DegenerateGeometryError`.
-    """
-    r1 = np.asarray(r1, dtype=float)
-    r12 = np.asarray(r12, dtype=float)
-    b1 = float(np.linalg.norm(r1) + r1[2])
-    b2 = float(np.linalg.norm(r12) + r12[2])
-    if b1 < EPS_GEOM or b2 < EPS_GEOM:
-        raise DegenerateGeometryError(
-            f"point on the negative polar axis: r1+z1 = {b1}, r12+z12 = {b2}"
-        )
-    return complex(np.exp(1j * eta1 * (math.log(b1) - math.log(b2))))

@@ -125,9 +125,8 @@ class ChandrasekharParams:
 class Kinematics:
     """One collision configuration, all momenta/energies in a.u.
 
-    E_i is kept in eV as given by the caller; E1 (ejected electron energy)
-    follows from energy conservation
-    E1 = E_i + eps_ps + eps_hbar - eps_hplus.
+    E_i is kept in eV as given by the caller; k1 (ejected electron
+    momentum) follows from energy conservation, see :func:`kinematics`.
     """
 
     E_i: float  # incident Ps kinetic energy, eV
@@ -136,9 +135,6 @@ class Kinematics:
     theta_e: float  # ejection polar angle, radians
     mu_i: float
     mu_f: float
-    eps_ps: float
-    eps_hbar: float
-    eps_hplus: float
 
 
 def ps_energy(state: PsState) -> float:
@@ -201,8 +197,7 @@ def _hbar_radial(r: np.ndarray) -> np.ndarray:
 def hbar_wavefunction(r3) -> float:
     """Ground-state orbital of the heavy atom, (1/sqrt(pi)) e^{-r}."""
     r3 = np.asarray(r3, dtype=float)
-    r = float(np.linalg.norm(r3)) if r3.shape else float(r3)
-    return math.exp(-r) / math.sqrt(math.pi)
+    return float(_hbar_radial(np.linalg.norm(r3) if r3.shape else r3))
 
 
 def hplus_wavefunction(p: ChandrasekharParams, r2, r3):
@@ -318,11 +313,9 @@ def kinematics(
     if not E_i > 0.0:
         raise ValueError(f"incident energy must be positive, got {E_i} eV")
     mu_i, mu_f = 2.0, 1.0
-    eps_ps = ps_energy(state)
-    eps_hbar = EPS_HBAR_DEFAULT
     eps_hplus = eps_hplus_default() if eps_hplus_override is None else eps_hplus_override
     e_au = E_i / HARTREE_EV
-    e1 = e_au + eps_ps + eps_hbar - eps_hplus
+    e1 = e_au + ps_energy(state) + EPS_HBAR_DEFAULT - eps_hplus
     if e1 <= 0.0:
         raise BelowThresholdError(
             f"E_i = {E_i} eV is below the {state.label} threshold "
@@ -335,9 +328,6 @@ def kinematics(
         theta_e=theta_e,
         mu_i=mu_i,
         mu_f=mu_f,
-        eps_ps=eps_ps,
-        eps_hbar=eps_hbar,
-        eps_hplus=eps_hplus,
     )
 
 

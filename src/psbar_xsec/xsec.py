@@ -15,7 +15,8 @@ substates, (1/3) sum_m; per-m records are available with
 ``m_average=False``.
 
 Only |T|^2 enters, so the phase convention of the amplitude (the
-distortion is conjugated into the bra) does not affect any result.
+distortion enters the bra as its complex conjugate) does not affect any
+result.
 """
 
 from __future__ import annotations

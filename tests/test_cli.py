@@ -21,7 +21,7 @@ from psbar_xsec.cli import (
     read_records,
     run,
 )
-from psbar_xsec.states import PsState
+from psbar_xsec.states import PsState, threshold_ev
 from psbar_xsec.xsec import CrossSectionRecord
 
 FAST = dict(samples=2048, seed=9, threads=1)
@@ -138,12 +138,16 @@ def test_grid_cardinality_tcs_product():
 
 
 def test_below_threshold_rows_not_skipped():
-    recs = run(_cfg(energies=[5.0, 10.0]))
-    assert len(recs) == 4
+    # 0.08 eV above the 1s threshold the Coulomb coupling 1/k1 is ~13,
+    # beyond the verified 1F1 range: those points are error rows
+    near = threshold_ev(PsState(1, 0)) + 0.08
+    recs = run(_cfg(energies=[5.0, 10.0, near]))
+    assert len(recs) == 6
     below = [r for r in recs if r.E_i == 5.0]
     assert all(r.status == "below_threshold" for r in below)
     assert all(r.value is None and r.std_err is None for r in below)
     assert all(r.status == "ok" for r in recs if r.E_i == 10.0)
+    assert [r.status for r in recs if r.E_i == near] == ["error", "error"]
 
 
 def test_deterministic_across_worker_counts(tmp_path):
@@ -335,6 +339,14 @@ def test_main_bad_config_returns_2(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("mode = nope\n")
     assert main(["--config", str(bad)]) == 2
+
+
+def test_bad_flag_value_reports_parser_reason(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sdcs", "--energy-ev", "1:2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --energy-ev: range must be start:stop:count, got '1:2'" in err
 
 
 def test_main_no_mode_prints_help(capsys):

@@ -5,73 +5,36 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from psbar_xsec.amplitude import _wave_factors, beam_vectors
 from psbar_xsec.specfun import (
-    EPS_GEOM,
     ConvergenceError,
-    DegenerateGeometryError,
     DistortionParams,
-    GammaPoleError,
-    cgamma,
     coulomb_distortion,
-    eikonal_phase,
     hyp1f1_b1,
     _asymptotic,
     _asymptotic_edge,
+    _coulomb_norm,
     _f64_band_edge,
     _hyp1f1_b1_many,
     _taylor_dd,
     _taylor_f64,
 )
+from psbar_xsec.states import PsState, kinematics
 from oracles import hyp1f1_series_200
 
 
 # ---------------------------------------------------------------------------
-# complex gamma
+# continuum normalization (complex gamma from scipy)
 # ---------------------------------------------------------------------------
 
 
-def test_gamma_at_one():
-    assert cgamma(1.0) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_gamma_at_half():
-    assert cgamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-
-
-def test_gamma_reflection_modulus_at_1_plus_i():
-    # |Gamma(1+iy)|^2 = pi y / sinh(pi y), evaluated at y = 1
-    got = abs(cgamma(1 + 1j))
-    want = math.sqrt(math.pi / math.sinh(math.pi))
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_gamma_recurrence_random():
-    rng = np.random.default_rng(11)
-    checked = 0
-    while checked < 100:
-        z = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
-        # stay away from the poles on the negative real axis
-        if abs(z.imag) < 0.1 and z.real < 0.5:
-            continue
-        lhs = cgamma(z + 1.0)
-        rhs = z * cgamma(z)
-        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-        checked += 1
-
-
-def test_gamma_matches_scipy_wide_strip():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        z = complex(rng.uniform(-8, 8), rng.uniform(-50, 50))
-        if abs(z.imag) < 1e-3 and z.real <= 0 and abs(z.real - round(z.real)) < 0.05:
-            continue
-        assert abs(cgamma(z) - sp.gamma(z)) <= 1e-12 * abs(sp.gamma(z))
-
-
-def test_gamma_pole_raises():
-    for z in (0.0, -1.0, -7.0):
-        with pytest.raises(GammaPoleError):
-            cgamma(z)
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 2.6, 8.0])
+def test_coulomb_norm_vs_mpmath(alpha):
+    # exp(-pi alpha/2) Gamma(1 - i alpha), the normalization every sweep uses
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = complex(mpmath.exp(-mpmath.pi * alpha / 2) * mpmath.gamma(mpmath.mpc(1, -alpha)))
+    assert abs(_coulomb_norm(alpha) - want) <= 1e-13 * abs(want)
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +96,15 @@ def test_hyp1f1_large_z_production_scale():
     val = hyp1f1_b1(0.5j, 1e4j)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
     # sanity: normalized Coulomb combination stays order unity
-    alpha = 0.5
-    norm = math.exp(-math.pi * alpha / 2.0) * cgamma(1.0 - 1j * alpha)
-    assert 0.1 < abs(norm * val) < 10.0
+    assert 0.1 < abs(_coulomb_norm(0.5) * val) < 10.0
 
 
 def test_hyp1f1_nonconvergence_raises():
-    # coupling too strong for the asymptotic branch, |z| too big for the
-    # double-double series
-    with pytest.raises(ConvergenceError):
-        hyp1f1_b1(40.0j, 70.0j)
+    # |a| above 8, where no branch is verified: raise on every branch,
+    # even where the float64 series would return a value
+    for a, z in ((40.0j, 70.0j), (10.0j, 5.0j), (-20.0j, 30.0j)):
+        with pytest.raises(ConvergenceError):
+            hyp1f1_b1(a, z)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -191,11 +153,9 @@ def test_coulomb_distortion_vanishing_argument():
     # r1 antiparallel to k1: hypergeometric argument is zero
     k1 = 1.3
     p = DistortionParams.for_momentum(k1)
-    for conj in (True, False):
-        val = coulomb_distortion(p, [0.0, 0.0, -2.0], [0.0, 0.0, k1], conjugated=conj)
-        sign = -1.0 if conj else 1.0
-        want = math.exp(-math.pi * p.alpha1 / 2.0) * cgamma(1.0 + sign * 1j * p.alpha1)
-        assert val == pytest.approx(want, rel=1e-12)
+    val = coulomb_distortion(p, [0.0, 0.0, -2.0], [0.0, 0.0, k1])
+    want = math.exp(-math.pi * p.alpha1 / 2.0) * sp.gamma(1.0 - 1j * p.alpha1)
+    assert val == pytest.approx(want, rel=1e-12)
 
 
 def test_coulomb_distortion_series_oracle():
@@ -204,24 +164,13 @@ def test_coulomb_distortion_series_oracle():
     p = DistortionParams.for_momentum(k1)
     r1 = [0.0, 0.0, 1.0]
     x = k1 * 1.0 + k1 * 1.0
-    for conj in (True, False):
-        sign = 1.0 if conj else -1.0
-        want = (
-            math.exp(-math.pi * p.alpha1 / 2.0)
-            * cgamma(1.0 - sign * 1j * p.alpha1)
-            * hyp1f1_series_200(sign * 1j * p.alpha1, sign * 1j * x)
-        )
-        got = coulomb_distortion(p, r1, [0.0, 0.0, k1], conjugated=conj)
-        assert got == pytest.approx(want, rel=1e-10)
-
-
-def test_coulomb_distortion_conjugation_pair():
-    p = DistortionParams.for_momentum(0.62)
-    r1 = [1.0, -0.4, 0.7]
-    k = [0.0, 0.0, 0.62]
-    a = coulomb_distortion(p, r1, k, conjugated=True)
-    b = coulomb_distortion(p, r1, k, conjugated=False)
-    assert a == pytest.approx(b.conjugate(), rel=1e-12)
+    want = (
+        math.exp(-math.pi * p.alpha1 / 2.0)
+        * sp.gamma(1.0 - 1j * p.alpha1)
+        * hyp1f1_series_200(1j * p.alpha1, 1j * x)
+    )
+    got = coulomb_distortion(p, r1, [0.0, 0.0, k1])
+    assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_coulomb_distortion_continuity_along_ray():
@@ -238,33 +187,66 @@ def test_coulomb_distortion_continuity_along_ray():
 
 
 # ---------------------------------------------------------------------------
-# eikonal phase
+# eikonal phase (computed inline by amplitude._wave_factors)
 # ---------------------------------------------------------------------------
 
 
-def test_eikonal_zero_coupling():
-    assert eikonal_phase([1.0, 0.0, 0.5], [0.2, 0.1, -0.1], 0.0) == 1.0 + 0.0j
+def _beams(E=10.0, theta=60.0):
+    return beam_vectors(kinematics(E, PsState(1, 0), theta_e=math.radians(theta)))
 
 
-def test_eikonal_identical_vectors():
-    v = [0.4, -0.3, 1.1]
-    assert eikonal_phase(v, v, 1.7) == pytest.approx(1.0 + 0.0j, abs=1e-14)
-
-
-def test_eikonal_unit_modulus():
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        r1 = rng.normal(size=3) * 3.0
-        r12 = rng.normal(size=3) * 3.0
-        if np.linalg.norm(r1) + r1[2] < 1e-6 or np.linalg.norm(r12) + r12[2] < 1e-6:
-            continue
-        val = eikonal_phase(r1, r12, 1.3)
-        assert abs(abs(val) - 1.0) < 1e-14
+def _plane(r1v, r2v, k1_vec, ki_vec):
+    return np.exp(1j * (0.5 * (r1v + r2v) @ ki_vec - r1v @ k1_vec))
 
 
 def test_eikonal_degenerate_axis_raises():
-    with pytest.raises(DegenerateGeometryError):
-        eikonal_phase([0.0, 0.0, -2.0], [0.3, 0.0, 0.4], 0.9)
+    # log(r1 + z1) has no value on the negative polar axis of k1: the old
+    # scalar phase raised there, _wave_factors now rejects the point instead
+    k1_vec, ki_vec = _beams()
+    p = DistortionParams.for_momentum(float(k1_vec[2]))
+    rhov = np.array([0.3, 0.0, 0.4])
+    r1v = np.array([[0.0, 0.0, -2.0], [3.0e-6, 0.0, -2.0]])
+    *_, valid, wave = _wave_factors(r1v, r1v - rhov, p, k1_vec, ki_vec)
+    assert not valid[0]
     # just above the guard is fine: transverse offset x gives r+z ~ x^2/(2r)
-    val = eikonal_phase([3.0e-6, 0.0, -2.0], [0.3, 0.0, 0.4], 0.9)
-    assert abs(abs(val) - 1.0) < 1e-12
+    assert valid[1]
+    dist = coulomb_distortion(p, r1v[1], k1_vec)
+    plane = _plane(r1v, r1v - rhov, k1_vec, ki_vec)[1]
+    assert abs(abs(wave[1] / (dist * plane)) - 1.0) < 1e-12
+
+
+def test_eikonal_zero_coupling():
+    # zero couplings: no distortion and no phase, exactly the plane waves
+    k1_vec, ki_vec = _beams()
+    free = DistortionParams(alpha1=0.0, eta1=0.0, k1=float(k1_vec[2]))
+    rng = np.random.default_rng(4)
+    r1v, r2v = rng.normal(size=(2, 200, 3)) * 3.0
+    *_, valid, wave = _wave_factors(r1v, r2v, free, k1_vec, ki_vec)
+    assert np.all(valid)
+    assert np.array_equal(wave, _plane(r1v, r2v, k1_vec, ki_vec))
+
+
+def test_eikonal_identical_vectors():
+    # equal bases r1 + z1 = rho + z_rho (both 9 here) give a phase of exactly 1
+    k1_vec, ki_vec = _beams()
+    p = DistortionParams.for_momentum(float(k1_vec[2]))
+    r1v = np.array([[3.0, 0.0, 4.0]])
+    r2v = r1v - np.array([[0.0, 0.0, 4.5]])
+    *_, valid, wave = _wave_factors(r1v, r2v, p, k1_vec, ki_vec)
+    assert valid[0]
+    dist = coulomb_distortion(p, r1v[0], k1_vec)
+    assert wave[0] == pytest.approx(dist * _plane(r1v, r2v, k1_vec, ki_vec)[0], abs=1e-14)
+
+
+def test_eikonal_unit_modulus():
+    # plane waves and eikonal phase are unit modulus: |wave| = |distortion|
+    k1_vec, ki_vec = _beams(E=50.0, theta=110.0)
+    p = DistortionParams.for_momentum(float(k1_vec[2]))
+    rng = np.random.default_rng(17)
+    r1v, r2v = rng.normal(size=(2, 300, 3)) * 3.0
+    # a point just above the negative-axis guard: r + z ~ x^2/(2r) = 2.25e-12
+    r1v[0] = [3.0e-6, 0.0, -2.0]
+    *_, valid, wave = _wave_factors(r1v, r2v, p, k1_vec, ki_vec)
+    assert valid[0] and np.count_nonzero(valid) > 290
+    dist = np.array([coulomb_distortion(p, r, k1_vec) for r in r1v[valid]])
+    assert np.max(np.abs(np.abs(wave[valid]) - np.abs(dist)) / np.abs(dist)) <= 1e-14
