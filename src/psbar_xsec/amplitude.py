@@ -14,14 +14,19 @@ bound-state decay scales.
 A plain Monte Carlo estimator of the full nine-dimensional integral,
 with every perturbation term evaluated pointwise, is kept as
 :func:`amplitude_oracle_9d` to validate the reduction end to end.  Both
-take the geometry, the validity mask and the wave part (Coulomb
-distortion, complex conjugate in the bra, x eikonal phase x plane waves) from
-one kernel, ``_wave_factors``.
+take the geometry, the validity mask and the angle-independent wave part
+(Coulomb distortion, complex conjugate in the bra, x eikonal phase x
+outgoing plane wave) from one kernel, ``_wave_factors``, and multiply by
+the incident plane wave, the one factor that depends on the ejection
+angle.
 
-Geometry: the ejected-electron momentum defines the polar axis; the
-incident momentum lies in the x-z plane at the ejection angle.  All
-evaluations are pure functions of (inputs, seed): results are identical
-for any worker count and any scheduling order.
+Geometry: the ejected-electron momentum defines the polar axis, and |k1|
+depends only on (energy, state).  So one sample cloud per (energy, state)
+serves every ejection angle and every screening parameter: only the
+incident plane wave depends on the angle and only the closed-form
+atom-positron integral on mu.  All evaluations are pure functions of
+(inputs, seed): results are identical for any worker count, any
+scheduling order and any other angles or mus requested alongside.
 """
 
 from __future__ import annotations
@@ -63,7 +68,9 @@ __all__ = [
 ]
 
 REPLICATES = 8
-_ORACLE_CHUNK = 1 << 18
+#: rows per evaluation block of both estimators: bounds peak memory
+#: whatever the sample count
+_BLOCK = 1 << 13
 _U_EPS = 2.0**-53
 #: the H-bar+ ion orbital every estimator uses
 _CHAND = ChandrasekharParams()
@@ -202,13 +209,20 @@ def inner_r3_reduction(
 # ---------------------------------------------------------------------------
 
 
+def _incident_momentum(k_i: float, theta: float, phi: float = 0.0) -> np.ndarray:
+    """Incident momentum at polar angle theta and azimuth phi about k1 (+z)."""
+    st = math.sin(theta)
+    return k_i * np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+
+
 def beam_vectors(kin: Kinematics) -> Tuple[np.ndarray, np.ndarray]:
     """(ejected momentum along +z, incident momentum in the x-z plane)."""
-    k1_vec = np.array([0.0, 0.0, kin.k1])
-    ki_vec = kin.k_i * np.array(
-        [math.sin(kin.theta_e), 0.0, math.cos(kin.theta_e)]
-    )
-    return k1_vec, ki_vec
+    return np.array([0.0, 0.0, kin.k1]), _incident_momentum(kin.k_i, kin.theta_e)
+
+
+def _incident_wave(r1v: np.ndarray, r2v: np.ndarray, ki_vec: np.ndarray) -> np.ndarray:
+    """exp(i ki . (r1 + r2)/2): the only factor that depends on the angle."""
+    return np.exp(1j * (0.5 * (r1v + r2v) @ ki_vec))
 
 
 def _wave_factors(
@@ -216,14 +230,13 @@ def _wave_factors(
     r2v: np.ndarray,
     distortion: DistortionParams,
     k1_vec: np.ndarray,
-    ki_vec: np.ndarray,
 ):
-    """Geometry and wave part of the integrand on (N, 3) r1, r2 rows.
+    """Geometry and angle-independent wave part on (N, 3) r1, r2 rows.
 
     Returns (r1, r2, rhov, valid, wave).  ``valid`` rejects zero radii and
     points with r1 or rho on the negative polar axis of k1; ``wave`` is
-    Coulomb distortion x eikonal phase x plane waves, meaningful only
-    where ``valid`` holds.
+    Coulomb distortion x eikonal phase x exp(-i k1.r1), meaningful only
+    where ``valid`` holds.  The incident plane wave is ``_incident_wave``.
     """
     r1 = np.sqrt(np.einsum("ij,ij->i", r1v, r1v))
     r2 = np.sqrt(np.einsum("ij,ij->i", r2v, r2v))
@@ -239,31 +252,29 @@ def _wave_factors(
 
     dist = _coulomb_distortion_many(distortion, r1v, k1_vec)
     eik = np.exp(-1j * distortion.eta1 * (np.log(b1s) - np.log(b2s)))
-    rr = 0.5 * (r1v + r2v)
-    plane = np.exp(1j * (rr @ ki_vec - r1v @ k1_vec))
-    return r1, r2, rhov, valid, dist * eik * plane
+    return r1, r2, rhov, valid, dist * eik * np.exp(-1j * (r1v @ k1_vec))
 
 
 def _integrand_6d(
     r1v: np.ndarray,
     r2v: np.ndarray,
-    screen: ScreeningConfig,
+    mus: Sequence[float],
     state: PsState,
     distortion: DistortionParams,
     k1_vec: np.ndarray,
-    ki_vec: np.ndarray,
     chand: ChandrasekharParams,
 ) -> np.ndarray:
-    """Reduced integrand on (N, 3) electron / Ps-positron coordinates."""
-    r1, r2, rhov, valid, wave = _wave_factors(r1v, r2v, distortion, k1_vec, ki_vec)
+    """Angle-independent part of the reduced integrand, one row per mu.
+
+    Returns (len(mus), N) values on (N, 3) electron / Ps-positron rows:
+    ``_wave_factors``' wave x atom-positron integral x Ps orbital, zero at
+    invalid points.  Times ``_incident_wave`` it is the full integrand.
+    """
+    r1, r2, rhov, valid, wave = _wave_factors(r1v, r2v, distortion, k1_vec)
     r1s = np.where(valid, r1, 1.0)
     r2s = np.where(valid, r2, 1.0)
-    inner = _inner_r3_many(r1s, r2s, screen.mu, chand)
-    ps = _ps_wavefunction_many(state, rhov)
-
-    vals = wave * inner * ps
-    vals[~valid] = 0.0
-    return vals
+    common = np.where(valid, wave * _ps_wavefunction_many(state, rhov), 0.0)
+    return np.stack([common * _inner_r3_many(r1s, r2s, mu, chand) for mu in mus])
 
 
 def reduced_integrand(
@@ -286,9 +297,8 @@ def reduced_integrand(
     k1_vec, ki_vec = beam_vectors(kin)
     r1v = np.asarray(r1, dtype=float).reshape(1, 3)
     r2v = np.asarray(r2, dtype=float).reshape(1, 3)
-    return complex(
-        _integrand_6d(r1v, r2v, screen, state, distortion, k1_vec, ki_vec, _CHAND)[0]
-    )
+    vals = _integrand_6d(r1v, r2v, [screen.mu], state, distortion, k1_vec, _CHAND)
+    return complex(vals[0, 0] * _incident_wave(r1v, r2v, ki_vec)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -362,24 +372,36 @@ def _task_seed(
 ) -> np.random.SeedSequence:
     """Deterministic per-task seed, independent of scheduling order.
 
-    The screening parameter is deliberately not part of the key: runs at
-    different mu share random numbers, so screened-minus-unscreened
-    differences are common-random-number estimates.
+    The key is (state, energy, tag, replicate).  The ejection angle and the
+    screening parameter are deliberately not part of it: every angle and
+    every mu of one (energy, state) read the same sample cloud, so
+    screened-minus-unscreened differences are common-random-number
+    estimates and a row does not depend on what else the sweep asks for.
     """
     e_bits = int(np.float64(kin.E_i).view(np.uint64))
-    t_bits = int(np.float64(kin.theta_e).view(np.uint64))
     key = (
         state.n,
         state.l,
         state.m & 0xFFFFFFFF,
         e_bits >> 32,
         e_bits & 0xFFFFFFFF,
-        t_bits >> 32,
-        t_bits & 0xFFFFFFFF,
         zlib.crc32(tag.encode("ascii")),
         replicate,
     )
     return np.random.SeedSequence(entropy=master, spawn_key=key)
+
+
+def _azimuth(theta: float) -> float:
+    """Azimuth of k_i about k1 at which ejection angle theta reads the cloud.
+
+    A fixed pseudo-random function of theta alone (a hash of its bits), so
+    angles that share one sample cloud see it from unrelated directions,
+    which decorrelates their estimates, and a row never depends on which
+    other angles are requested.  Rotating k_i about k1 leaves every s and
+    m = 0 amplitude unchanged and multiplies T_m by e^{i m phi}.
+    """
+    bits = np.float64(theta).tobytes()
+    return 2.0 * math.pi * zlib.crc32(bits) / 2.0**32
 
 
 # ---------------------------------------------------------------------------
@@ -390,42 +412,54 @@ def _task_seed(
 def amplitude(
     kin: Kinematics,
     state: PsState,
-    screen: ScreeningConfig,
+    mus: Sequence[float],
+    thetas: Sequence[float],
     spec: IntegrationSpec,
-) -> AmplitudeValue:
-    """Randomized-QMC estimate of the prior-form transition amplitude.
+) -> np.ndarray:
+    """Randomized-QMC estimates of the prior-form transition amplitude.
 
-    The six-dimensional reduced integral is sampled with independently
-    scrambled Sobol replicates (REPLICATES of them); the replicate spread
-    gives an unbiased standard error.  Fixed (spec, kinematics) give a
-    bit-identical result regardless of worker count.
+    Returns the per-replicate estimates, complex (REPLICATES, len(mus),
+    len(thetas)), for every screening parameter and ejection angle
+    (radians; ``kin.theta_e`` is not used).  Each replicate is one
+    independently scrambled Sobol block, drawn once and evaluated in blocks
+    of ``_BLOCK`` rows; its sampling, 1F1, eikonal phase and orbital serve
+    every (mu, theta).  Each angle reads it at its own azimuth
+    (``_azimuth``) and is rotated back to the x-z plane.  A negative m is
+    not sampled: the reflection y -> -y gives T_-m = (-1)^m T_m.  Fixed
+    (spec, kinematics, state) give bit-identical estimates for each
+    (mu, theta) whatever else is requested and whatever the worker count.
     """
+    sampled = PsState(state.n, state.l, abs(state.m))
     distortion = DistortionParams.for_momentum(kin.k1)
-    k1_vec, ki_vec = beam_vectors(kin)
+    k1_vec = np.array([0.0, 0.0, kin.k1])
+    phis = [_azimuth(theta) for theta in thetas]
+    ki_vecs = [_incident_momentum(kin.k_i, t, p) for t, p in zip(thetas, phis)]
     rates2, w2mix = _r2_mixture(_CHAND)
     rate_rho = _rho_rate(state)
     m = max(7, round(math.log2(max(1.0, spec.samples / REPLICATES))))
 
-    estimates = np.empty(REPLICATES, dtype=np.complex128)
+    sums = np.zeros((REPLICATES, len(mus), len(thetas)), dtype=np.complex128)
     for rep in range(REPLICATES):
-        ss = _task_seed(spec.seed, state, kin, "qmc6d", rep)
+        ss = _task_seed(spec.seed, sampled, kin, "qmc6d", rep)
         sob = qmc.Sobol(d=6, scramble=True, seed=np.random.default_rng(ss))
-        u = np.clip(sob.random_base2(m), _U_EPS, 1.0 - _U_EPS)
-        r2v, p2 = _vectors_from_uniform_mix(u[:, 0:3], rates2, w2mix)
-        rhov, pr = _vectors_from_uniform(u[:, 3:6], rate_rho)
-        r1v = r2v + rhov
-        vals = _integrand_6d(
-            r1v, r2v, screen, state, distortion, k1_vec, ki_vec, _CHAND
-        )
-        estimates[rep] = np.mean(vals / (p2 * pr))
+        u_rep = np.clip(sob.random_base2(m), _U_EPS, 1.0 - _U_EPS)
+        for start in range(0, len(u_rep), _BLOCK):
+            u = u_rep[start:start + _BLOCK]
+            r2v, p2 = _vectors_from_uniform_mix(u[:, 0:3], rates2, w2mix)
+            rhov, pr = _vectors_from_uniform(u[:, 3:6], rate_rho)
+            r1v = r2v + rhov
+            vals = _integrand_6d(
+                r1v, r2v, mus, sampled, distortion, k1_vec, _CHAND
+            ) / (p2 * pr)
+            for j, ki_vec in enumerate(ki_vecs):
+                sums[rep, :, j] += np.sum(vals * _incident_wave(r1v, r2v, ki_vec), axis=1)
 
     pref = -kin.mu_f / (2.0 * math.pi)
-    estimates *= pref
-    t = complex(np.mean(estimates))
-    se_re = float(np.std(estimates.real, ddof=1) / math.sqrt(REPLICATES))
-    se_im = float(np.std(estimates.imag, ddof=1) / math.sqrt(REPLICATES))
-    std_err = math.hypot(se_re, se_im)
-    return AmplitudeValue(t=t, std_err=std_err)
+    if state.m < 0:
+        pref *= (-1.0) ** state.m
+    if sampled.m:
+        sums *= np.exp(-1j * sampled.m * np.asarray(phis))
+    return pref * sums / len(u_rep)
 
 
 def amplitude_oracle_9d(
@@ -458,7 +492,7 @@ def amplitude_oracle_9d(
     acc_im2 = 0.0
     remaining = int(spec.samples)
     while remaining > 0:
-        n = min(_ORACLE_CHUNK, remaining)
+        n = min(_BLOCK, remaining)
         remaining -= n
         u = np.clip(rng.random((n, 9)), _U_EPS, 1.0 - _U_EPS)
         r2v, p2 = _vectors_from_uniform_mix(u[:, 0:3], rates2, w2mix)
@@ -466,9 +500,8 @@ def amplitude_oracle_9d(
         r3v, p3 = _vectors_from_uniform(u[:, 6:9], rate3)
         r1v = r2v + rhov
 
-        r1, r2, rhov, valid, wave = _wave_factors(
-            r1v, r2v, distortion, k1_vec, ki_vec
-        )
+        r1, r2, rhov, valid, wave = _wave_factors(r1v, r2v, distortion, k1_vec)
+        wave = wave * _incident_wave(r1v, r2v, ki_vec)
         r3 = np.sqrt(np.einsum("ij,ij->i", r3v, r3v))
         d13 = r1v - r3v
         d23 = r2v - r3v

@@ -1,13 +1,15 @@
 """Configuration-driven sweep runner and CSV/JSON emitter.
 
 Runs (state, energy, screening[, angle]) grids in parallel worker
-processes and writes one row per grid point.  Grid points below the
-formation threshold become explicit ``below_threshold`` rows; a grid
-point that fails becomes an ``error`` row (the message goes to stderr)
-and the sweep goes on.  Results are deterministic for a fixed seed
-regardless of the worker count: every grid point derives its own random
-stream from the master seed and its grid coordinates, and rows are
-assembled in grid order (state, energy, mu, angle).
+processes and writes one row per grid point.  Each worker task is one
+(state, energy) group covering every mu and angle, which share one
+sample cloud.  Groups below the formation threshold become explicit
+``below_threshold`` rows; a group that fails becomes ``error`` rows (the
+message goes to stderr) and the sweep goes on.  Results are
+deterministic for a fixed seed regardless of the worker count: every
+group derives its random streams from the master seed, the state and
+the energy, and rows are assembled in grid order (state, energy, mu,
+angle).
 
 The settings table ``_SETTINGS`` is the one list of config-file keys and
 command-line flags; ``parse_config`` and ``build_parser`` are generated
@@ -201,61 +203,69 @@ def parse_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _eval_point(task) -> CrossSectionRecord:
-    """Worker entry: one grid point.  Must stay top-level (pickling)."""
-    cfg, label, energy, mu, theta_deg = task
+def _eval_group(task) -> List[CrossSectionRecord]:
+    """Worker entry: every row of one (state, energy).  Must stay top-level.
+
+    All mus and angles of the group share one sample cloud per m substate,
+    so the group is also the unit of failure: a group that fails becomes
+    ``error`` rows and the sweep goes on.
+    """
+    cfg, label, energy = task
     state = PsState.from_label(label)
     eps_ev = cfg.eps_hplus_override_ev
     eps_hplus = None if eps_ev is None else -0.5 - eps_ev / HARTREE_EV
     spec = IntegrationSpec(samples=cfg.samples, seed=cfg.seed)
+    screens = [ScreeningConfig(mu) for mu in cfg.mus]
+    thetas = cfg.angles if cfg.mode == "sdcs" else [None]
+    m_average = not cfg.m_resolved
     try:
-        screen = ScreeningConfig(mu)
-        if cfg.mode == "sdcs":
-            kin = kinematics(
-                energy, state, theta_e=math.radians(theta_deg),
-                eps_hplus_override=eps_hplus,
+        if cfg.mode == "tcs":
+            return tcs(
+                energy, state, screens, spec, n_theta=cfg.n_theta,
+                m_average=m_average, eps_hplus_override=eps_hplus,
             )
-            rec = sdcs(kin, state, screen, spec, m_average=not cfg.m_resolved)
-            # carry the requested angle exactly (not the radian round-trip)
-            return replace(rec, theta_deg=theta_deg)
-        return tcs(
-            energy, state, screen, spec, n_theta=cfg.n_theta,
-            m_average=not cfg.m_resolved, eps_hplus_override=eps_hplus,
-        )
+        kin = kinematics(energy, state, eps_hplus_override=eps_hplus)
+        recs = sdcs(kin, state, screens, spec, m_average,
+                    thetas=[math.radians(t) for t in thetas])
+        # carry the requested angles exactly (not the radian round-trip)
+        return [replace(rec, theta_deg=theta)
+                for rec, theta in zip(recs, thetas * len(screens))]
     except BelowThresholdError:
         status = "below_threshold"
-    except Exception as exc:  # one failing point must not end the sweep
+    except Exception as exc:  # one failing group must not end the sweep
         print(
-            f"error: grid point (state={label}, E_i={energy} eV, mu={mu}"
-            + (f", theta={theta_deg} deg" if theta_deg is not None else "")
-            + f") failed: {type(exc).__name__}: {exc}",
+            f"error: grid points (state={label}, E_i={energy} eV) failed: "
+            f"{type(exc).__name__}: {exc}",
             file=sys.stderr,
         )
         status = "error"
-    return CrossSectionRecord(
-        state=state, E_i=energy, mu=mu, theta_deg=theta_deg,
-        value=None, std_err=None, status=status,
-    )
-
-
-def run(cfg: RunConfig) -> List[CrossSectionRecord]:
-    """Evaluate the whole grid; one record per point, in grid order."""
-    cfg.validate()
-    thetas = cfg.angles if cfg.mode == "sdcs" else [None]
-    tasks = [
-        (cfg, label, energy, mu, theta)
-        for label in cfg.states
-        for energy in cfg.energies
+    return [
+        CrossSectionRecord(
+            state=state, E_i=energy, mu=mu, theta_deg=theta,
+            value=None, std_err=None, status=status,
+        )
         for mu in cfg.mus
         for theta in thetas
     ]
+
+
+def run(cfg: RunConfig) -> List[CrossSectionRecord]:
+    """Evaluate the whole grid; one record per point, in grid order.
+
+    One task per (state, energy) covers every mu and angle; rows come back
+    in grid order (state, energy, mu, angle) for any worker count.
+    """
+    cfg.validate()
+    tasks = [(cfg, label, energy) for label in cfg.states for energy in cfg.energies]
     threads = cfg.threads
     if threads is None:
         threads = int(os.environ.get("PSBAR_THREADS", "0")) or os.cpu_count() or 1
     if threads <= 1 or len(tasks) == 1:
-        return [_eval_point(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-        return list(pool.map(_eval_point, tasks))
+        groups = [_eval_group(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+            groups = list(pool.map(_eval_group, tasks))
+    return [rec for group in groups for rec in group]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from psbar_xsec.amplitude import (
     AmplitudeValue,
     IntegrationSpec,
     REPLICATES,
+    _BLOCK,
+    _incident_wave,
     _integrand_6d,
     _r2_mixture,
     _rho_rate,
@@ -31,8 +34,17 @@ from psbar_xsec.states import (
 )
 from oracles import inner_r3_quad, ps_orbital_1s, yukawa_exp_convolution_quad
 
+# the package re-exports the function under the module's name
+amplitude_mod = importlib.import_module("psbar_xsec.amplitude")
 CH = ChandrasekharParams()
 ST_1S = PsState(1, 0)
+
+
+def _amp(kin, state, mu, spec):
+    """Production estimate at kin.theta_e, reduced over replicates here."""
+    reps = amplitude(kin, state, [mu], [kin.theta_e], spec)[:, 0, 0]
+    se = math.hypot(np.std(reps.real, ddof=1), np.std(reps.imag, ddof=1))
+    return AmplitudeValue(t=complex(reps.mean()), std_err=se / math.sqrt(len(reps)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +275,10 @@ def test_amplitude_value_validation():
 def test_amplitude_deterministic_repeat():
     spec = IntegrationSpec(samples=8192, seed=123)
     kin = _test_kin()
-    a = amplitude(kin, ST_1S, ScreeningConfig(0.0), spec)
-    b = amplitude(kin, ST_1S, ScreeningConfig(0.0), spec)
-    assert a.t == b.t and a.std_err == b.std_err
+    a = amplitude(kin, ST_1S, [0.0, 0.1], [0.3, kin.theta_e], spec)
+    b = amplitude(kin, ST_1S, [0.0, 0.1], [0.3, kin.theta_e], spec)
+    assert a.shape == (REPLICATES, 2, 2)
+    assert np.array_equal(a, b)
 
 
 def test_oracle_deterministic_repeat():
@@ -282,8 +295,8 @@ def test_doubling_samples_shrinks_error_on_average():
     for seed in range(10):
         spec_n = IntegrationSpec(samples=8192, seed=seed)
         spec_2n = IntegrationSpec(samples=16384, seed=seed)
-        small.append(amplitude(kin, ST_1S, ScreeningConfig(0.0), spec_n).std_err)
-        large.append(amplitude(kin, ST_1S, ScreeningConfig(0.0), spec_2n).std_err)
+        small.append(_amp(kin, ST_1S, 0.0, spec_n).std_err)
+        large.append(_amp(kin, ST_1S, 0.0, spec_2n).std_err)
     assert np.mean(large) < np.mean(small)
 
 
@@ -291,10 +304,8 @@ def test_error_scales_roughly_root_n():
     kin = _test_kin(E=10.0, theta=30.0)
     ratios = []
     for seed in range(6):
-        se1 = amplitude(kin, ST_1S, ScreeningConfig(0.0),
-                        IntegrationSpec(samples=8192, seed=seed)).std_err
-        se4 = amplitude(kin, ST_1S, ScreeningConfig(0.0),
-                        IntegrationSpec(samples=131072, seed=seed)).std_err
+        se1 = _amp(kin, ST_1S, 0.0, IntegrationSpec(samples=8192, seed=seed)).std_err
+        se4 = _amp(kin, ST_1S, 0.0, IntegrationSpec(samples=131072, seed=seed)).std_err
         ratios.append(se1 / se4)
     # 16x the samples: plain MC gives 4; randomized QMC should do at least that
     assert np.mean(ratios) > 3.0
@@ -321,8 +332,7 @@ def test_vi_sign_flip_changes_result():
 def test_production_agrees_with_9d_oracle():
     kin = _test_kin(E=10.0, theta=60.0)
     for mu in (0.0, 0.1):
-        prod = amplitude(kin, ST_1S, ScreeningConfig(mu),
-                         IntegrationSpec(samples=262144, seed=42))
+        prod = _amp(kin, ST_1S, mu, IntegrationSpec(samples=262144, seed=42))
         orac = amplitude_oracle_9d(kin, ST_1S, ScreeningConfig(mu),
                                    IntegrationSpec(2_000_000, 42))
         diff = abs(prod.t - orac.t)
@@ -333,8 +343,8 @@ def test_production_agrees_with_9d_oracle():
 def test_screening_continuity_small_mu():
     spec = IntegrationSpec(samples=65536, seed=9)
     kin = _test_kin(E=10.0, theta=45.0)
-    a = amplitude(kin, ST_1S, ScreeningConfig(0.0), spec)
-    b = amplitude(kin, ST_1S, ScreeningConfig(1e-5), spec)
+    a = _amp(kin, ST_1S, 0.0, spec)
+    b = _amp(kin, ST_1S, 1e-5, spec)
     assert abs(a.t - b.t) < 5.0 * math.hypot(a.std_err, b.std_err)
 
 
@@ -361,9 +371,9 @@ def test_frame_rotation_invariance():
             u = np.clip(sob.random_base2(12), 2.0**-53, 1 - 2.0**-53)
             r2v, p2 = _vectors_from_uniform_mix(u[:, 0:3], rates2, w2)
             rhov, pr = _vectors_from_uniform(u[:, 3:6], _rho_rate(ST_1S))
-            vals = _integrand_6d(
-                r2v + rhov, r2v, ScreeningConfig(0.0), ST_1S, dist, k1_vec, ki_vec, CH
-            )
+            r1v = r2v + rhov
+            vals = _integrand_6d(r1v, r2v, [0.0], ST_1S, dist, k1_vec, CH)[0]
+            vals = vals * _incident_wave(r1v, r2v, ki_vec)
             ests.append(np.mean(vals / (p2 * pr)))
         ests = np.asarray(ests)
         t = ests.mean()
@@ -378,6 +388,53 @@ def test_frame_rotation_invariance():
 
 
 def test_std_err_is_positive_and_finite():
-    val = amplitude(_test_kin(), ST_1S, ScreeningConfig(0.0),
-                    IntegrationSpec(samples=4096, seed=3))
+    val = _amp(_test_kin(), ST_1S, 0.0, IntegrationSpec(samples=4096, seed=3))
     assert val.std_err > 0.0 and math.isfinite(val.std_err)
+
+
+def test_integrand_sees_bounded_blocks(monkeypatch):
+    # 2^17 samples are 2^14 rows per replicate: two blocks, never one
+    rows = []
+    real = amplitude_mod._integrand_6d
+
+    def recording(r1v, *args):
+        rows.append(len(r1v))
+        return real(r1v, *args)
+
+    monkeypatch.setattr(amplitude_mod, "_integrand_6d", recording)
+    amplitude(_test_kin(), ST_1S, [0.0], [0.5], IntegrationSpec(samples=1 << 17, seed=1))
+    assert max(rows) == _BLOCK == 1 << 13
+    assert sum(rows) == 1 << 17
+
+
+def test_azimuth_rotation_and_mirror_of_2p(monkeypatch):
+    # each angle reads the cloud at its own azimuth phi and turns T_+1 back
+    # by e^{-i phi}; reading the cloud rotated by -phi about k1 in the x-z
+    # plane instead must give the same estimates up to rounding (a wrong
+    # turn would be off by the factor e^{2i phi})
+    kin = _test_kin(E=6.0, theta=40.0, state=PsState(2, 1))
+    spec = IntegrationSpec(samples=4096, seed=5)
+    plus = PsState(2, 1, 1)
+    theta = kin.theta_e
+    phi = amplitude_mod._azimuth(theta)
+    assert abs(math.sin(phi)) > 0.3
+    at_phi = amplitude(kin, plus, [0.0, 0.05], [theta], spec)
+
+    c, s = math.cos(phi), math.sin(phi)
+    unrotate = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+
+    def rotated(sample):
+        def draw(*args):
+            vec, dens = sample(*args)
+            return vec @ unrotate.T, dens
+        return draw
+
+    with monkeypatch.context() as mp:
+        for name in ("_vectors_from_uniform", "_vectors_from_uniform_mix"):
+            mp.setattr(amplitude_mod, name, rotated(getattr(amplitude_mod, name)))
+        mp.setattr(amplitude_mod, "_azimuth", lambda th: 0.0)
+        in_plane = amplitude(kin, plus, [0.0, 0.05], [theta], spec)
+    assert np.max(np.abs(at_phi - in_plane)) <= 1e-9 * np.max(np.abs(at_phi))
+    # m = -1 is the mirror image of m = +1, exactly
+    minus = amplitude(kin, PsState(2, 1, -1), [0.0, 0.05], [theta], spec)
+    assert np.array_equal(minus, -at_phi)

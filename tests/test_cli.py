@@ -150,14 +150,30 @@ def test_below_threshold_rows_not_skipped():
     assert [r.status for r in recs if r.E_i == near] == ["error", "error"]
 
 
-def test_deterministic_across_worker_counts(tmp_path):
-    cfg1 = _cfg(angles=[30.0, 90.0, 150.0], threads=1)
+def test_deterministic_across_worker_counts(tmp_path, monkeypatch):
+    # two (state, energy) groups, so threads=4 really opens a pool
+    pools = []
+    real_pool = cli.ProcessPoolExecutor
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda **kw: pools.append(kw) or real_pool(**kw))
+    cfg1 = _cfg(energies=[10.0, 20.0], angles=[30.0, 90.0, 150.0], threads=1)
     cfg4 = dataclasses.replace(cfg1, threads=4)
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     emit(run(cfg1), str(a))
+    assert pools == []
     emit(run(cfg4), str(b))
+    assert pools == [{"max_workers": 2}]
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_row_independent_of_other_angles_and_mus():
+    # a row reads the shared sample cloud at its own azimuth, so it is the
+    # same bits whether swept alone or beside other angles and mus
+    alone = run(_cfg(angles=[30.0]))
+    within = run(_cfg(angles=[0.0, 30.0, 90.0], mus=[0.1, 0.0]))
+    assert len(within) == 6
+    assert within[4] == alone[0]
 
 
 def test_seed_changes_values_not_structure(tmp_path):
@@ -268,27 +284,29 @@ def test_main_gnuplot_script(tmp_path):
 
 
 def test_failing_point_becomes_error_row(tmp_path, monkeypatch, capsys):
+    # the unit of work, and of failure, is one (state, energy) group
     real_sdcs = cli.sdcs
 
-    def sdcs_failing_at_90(kin, *args, **kwargs):
-        if math.isclose(math.degrees(kin.theta_e), 90.0):
+    def sdcs_failing_at_20ev(kin, *args, **kwargs):
+        if kin.E_i == 20.0:
             raise FloatingPointError("injected failure")
         return real_sdcs(kin, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "sdcs", sdcs_failing_at_90)
+    monkeypatch.setattr(cli, "sdcs", sdcs_failing_at_20ev)
     out = tmp_path / "e.csv"
     rc = main(
         [
-            "sdcs", "--angles", "30,90,150", "--samples", "2048", "--seed", "3",
-            "--threads", "1", "--out", str(out),
+            "sdcs", "--energy-ev", "10,20,30", "--angles", "30,150",
+            "--samples", "2048", "--seed", "3", "--threads", "1", "--out", str(out),
         ]
     )
     assert rc == 1
     recs = read_records(str(out))
-    assert [r.status for r in recs] == ["ok", "error", "ok"]
-    assert recs[1].value is None and recs[1].theta_deg == 90.0
+    assert [r.status for r in recs] == ["ok", "ok", "error", "error", "ok", "ok"]
+    assert all(r.value is None and r.E_i == 20.0 for r in recs[2:4])
+    assert [r.theta_deg for r in recs[2:4]] == [30.0, 150.0]
     err = capsys.readouterr().err
-    assert "theta=90.0 deg" in err and "injected failure" in err
+    assert "E_i=20.0 eV" in err and "injected failure" in err
 
 
 def test_config_file_and_flags_agree(tmp_path, monkeypatch):

@@ -195,58 +195,59 @@ def _beams(E=10.0, theta=60.0):
     return beam_vectors(kinematics(E, PsState(1, 0), theta_e=math.radians(theta)))
 
 
-def _plane(r1v, r2v, k1_vec, ki_vec):
-    return np.exp(1j * (0.5 * (r1v + r2v) @ ki_vec - r1v @ k1_vec))
+def _plane(r1v, k1_vec):
+    # the outgoing plane wave; the incident one is not part of _wave_factors
+    return np.exp(-1j * (r1v @ k1_vec))
 
 
 def test_eikonal_degenerate_axis_raises():
     # log(r1 + z1) has no value on the negative polar axis of k1: the old
     # scalar phase raised there, _wave_factors now rejects the point instead
-    k1_vec, ki_vec = _beams()
+    k1_vec, _ = _beams()
     p = DistortionParams.for_momentum(float(k1_vec[2]))
     rhov = np.array([0.3, 0.0, 0.4])
     r1v = np.array([[0.0, 0.0, -2.0], [3.0e-6, 0.0, -2.0]])
-    *_, valid, wave = _wave_factors(r1v, r1v - rhov, p, k1_vec, ki_vec)
+    *_, valid, wave = _wave_factors(r1v, r1v - rhov, p, k1_vec)
     assert not valid[0]
     # just above the guard is fine: transverse offset x gives r+z ~ x^2/(2r)
     assert valid[1]
     dist = coulomb_distortion(p, r1v[1], k1_vec)
-    plane = _plane(r1v, r1v - rhov, k1_vec, ki_vec)[1]
+    plane = _plane(r1v, k1_vec)[1]
     assert abs(abs(wave[1] / (dist * plane)) - 1.0) < 1e-12
 
 
 def test_eikonal_zero_coupling():
     # zero couplings: no distortion and no phase, exactly the plane waves
-    k1_vec, ki_vec = _beams()
+    k1_vec, _ = _beams()
     free = DistortionParams(alpha1=0.0, eta1=0.0, k1=float(k1_vec[2]))
     rng = np.random.default_rng(4)
     r1v, r2v = rng.normal(size=(2, 200, 3)) * 3.0
-    *_, valid, wave = _wave_factors(r1v, r2v, free, k1_vec, ki_vec)
+    *_, valid, wave = _wave_factors(r1v, r2v, free, k1_vec)
     assert np.all(valid)
-    assert np.array_equal(wave, _plane(r1v, r2v, k1_vec, ki_vec))
+    assert np.array_equal(wave, _plane(r1v, k1_vec))
 
 
 def test_eikonal_identical_vectors():
     # equal bases r1 + z1 = rho + z_rho (both 9 here) give a phase of exactly 1
-    k1_vec, ki_vec = _beams()
+    k1_vec, _ = _beams()
     p = DistortionParams.for_momentum(float(k1_vec[2]))
     r1v = np.array([[3.0, 0.0, 4.0]])
     r2v = r1v - np.array([[0.0, 0.0, 4.5]])
-    *_, valid, wave = _wave_factors(r1v, r2v, p, k1_vec, ki_vec)
+    *_, valid, wave = _wave_factors(r1v, r2v, p, k1_vec)
     assert valid[0]
     dist = coulomb_distortion(p, r1v[0], k1_vec)
-    assert wave[0] == pytest.approx(dist * _plane(r1v, r2v, k1_vec, ki_vec)[0], abs=1e-14)
+    assert wave[0] == pytest.approx(dist * _plane(r1v, k1_vec)[0], abs=1e-14)
 
 
 def test_eikonal_unit_modulus():
     # plane waves and eikonal phase are unit modulus: |wave| = |distortion|
-    k1_vec, ki_vec = _beams(E=50.0, theta=110.0)
+    k1_vec, _ = _beams(E=50.0, theta=110.0)
     p = DistortionParams.for_momentum(float(k1_vec[2]))
     rng = np.random.default_rng(17)
     r1v, r2v = rng.normal(size=(2, 300, 3)) * 3.0
     # a point just above the negative-axis guard: r + z ~ x^2/(2r) = 2.25e-12
     r1v[0] = [3.0e-6, 0.0, -2.0]
-    *_, valid, wave = _wave_factors(r1v, r2v, p, k1_vec, ki_vec)
+    *_, valid, wave = _wave_factors(r1v, r2v, p, k1_vec)
     assert valid[0] and np.count_nonzero(valid) > 290
     dist = np.array([coulomb_distortion(p, r, k1_vec) for r in r1v[valid]])
     assert np.max(np.abs(np.abs(wave[valid]) - np.abs(dist)) / np.abs(dist)) <= 1e-14
