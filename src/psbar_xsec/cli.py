@@ -137,6 +137,8 @@ class RunConfig:
             raise ConfigError(f"need at least 1000 samples, got {self.samples}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        if self.threads is not None and self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         return self
 
 
@@ -160,7 +162,9 @@ _SETTINGS = (
              "Gauss-Legendre order of the angular integral", ("tcs",)),
     _Setting("output", ("output",), "--out", str, "output path"),
     _Setting("fmt", ("format",), "--format", str.lower, "csv or json"),
-    _Setting("threads", ("threads",), "--threads", int, "worker processes"),
+    _Setting("threads", ("threads",), "--threads", int,
+             "worker processes, >= 1 (default: PSBAR_THREADS, where 0 or "
+             "unset means every core)"),
     _Setting("eps_hplus_override_ev", ("eps_hplus_override_ev",),
              "--eps-hplus-override", float,
              "electron affinity of the ion in eV (default 0.75)"),

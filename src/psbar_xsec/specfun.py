@@ -27,13 +27,26 @@ The branches are verified only for |a| <= 8 (ejected electron above
 12), so larger |a| raises :class:`ConvergenceError` instead of returning
 a wrong value.
 
-All functions are pure; callers may evaluate from any number of workers.
+The double-double band costs ~125 series terms of ~100 array operations
+each, whatever the number of points.  The Coulomb distortion has one a per
+(energy, state) and z on one ray, so it reads that band from a
+:class:`_BandTable`: a piecewise-Chebyshev interpolant of the series over
+the whole band, summed once on the first band point and then evaluated per
+point by a Clenshaw recurrence.  The table lives on the
+:class:`DistortionParams` instance, and so for one amplitude call, not in a
+process-wide cache: every call that meets the band sums the series once,
+and a call's cost does not depend on what ran before it in the process.
+
+All functions are pure apart from the table a :class:`DistortionParams`
+fills on first use, which is a deterministic function of alpha1; callers
+may evaluate from any number of workers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gamma, rgamma
@@ -57,6 +70,9 @@ _HYP_TOL = 1e-9  # internal accuracy target, one digit under the 1e-8 contract
 _A_MAX = 8.0  # largest |a| at which every 1F1 branch is verified
 _DD_MAX_ABS_Z = 60.0
 _TAYLOR_MAX_TERMS = 900
+#: band-table panels: width in |z| and Chebyshev degree of each panel
+_PANEL_WIDTH = 1.0
+_PANEL_DEGREE = 24
 
 
 class SpecialFunctionError(Exception):
@@ -75,6 +91,10 @@ class DistortionParams:
     (alpha1 = eta1 = 1/k1); build through :meth:`for_momentum` to get that
     exactly.  Direct construction is permitted so tests can switch the
     distortion off (alpha1 = eta1 = 0 recovers the plane-wave Born limit).
+
+    Each instance carries the :class:`_BandTable` of its 1F1, filled the
+    first time one of its points falls in the double-double band, so build
+    one instance per amplitude call and pass it to every row block.
     """
 
     alpha1: float
@@ -86,6 +106,11 @@ class DistortionParams:
         if not k1 > 0.0:
             raise ValueError(f"ejected momentum must be positive, got {k1}")
         return cls(alpha1=1.0 / k1, eta1=1.0 / k1, k1=k1)
+
+    @cached_property
+    def band_table(self) -> "_BandTable":
+        """Band table of 1F1(i alpha1; 1; i x), x >= 0 (empty until first used)."""
+        return _BandTable(1j * self.alpha1)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +130,8 @@ def _taylor_f64(a: complex, z: np.ndarray) -> np.ndarray:
     return total
 
 
-def _taylor_dd(a: complex, z: np.ndarray) -> np.ndarray:
-    """Taylor sum in double-double arithmetic for the cancellation band."""
+def _dd_series(a: complex, z: np.ndarray) -> np.ndarray:
+    """Taylor sum of 1F1(a; 1; z) in double-double arithmetic."""
     zr = np.ascontiguousarray(z.real)
     zi = np.ascontiguousarray(z.imag)
     zrl = np.zeros_like(zr)
@@ -133,6 +158,65 @@ def _taylor_dd(a: complex, z: np.ndarray) -> np.ndarray:
         ):
             break
     return (sr + srl) + 1j * (si + sil)
+
+
+class _BandTable:
+    """Piecewise-Chebyshev table of the double-double band of 1F1(a; 1; z).
+
+    Covers z = ray * t, with ``ray`` a unit complex number and t from
+    ``_f64_band_edge(|a|)`` up to the first panel edge at or above
+    ``_asymptotic_edge(|a|)``, in panels of width ``_PANEL_WIDTH`` in t.
+    The first call sums ``_dd_series`` once over the first-kind Chebyshev
+    nodes of every panel; each call then evaluates its points by a
+    Clenshaw recurrence, gathering one coefficient row per step so that
+    memory stays linear in the number of points.
+    """
+
+    def __init__(self, a: complex, ray: complex = 1j):
+        self.a = complex(a)
+        self.ray = complex(ray)
+        self.lo = _f64_band_edge(abs(self.a))
+        width = _asymptotic_edge(abs(self.a)) - self.lo
+        self.n_panels = math.ceil(width / _PANEL_WIDTH)
+        self._coef = None  # (degree + 1, n_panels), filled on first use
+
+    def _build(self) -> np.ndarray:
+        n = _PANEL_DEGREE + 1
+        theta = math.pi * (np.arange(n) + 0.5) / n
+        t = self.lo + _PANEL_WIDTH * (
+            np.arange(self.n_panels)[:, None] + 0.5 * (np.cos(theta) + 1.0)
+        )
+        vals = _dd_series(self.a, self.ray * t.ravel()).reshape(t.shape)
+        # discrete Chebyshev transform: c_j = (2/n) sum_k f(x_k) T_j(x_k)
+        coef = (2.0 / n) * (np.cos(np.outer(np.arange(n), theta)) @ vals.T)
+        coef[0] *= 0.5
+        return coef
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        """1F1(a; 1; z) at points z on the table's ray, inside the band."""
+        if self._coef is None:
+            self._coef = self._build()
+        t = (np.abs(z) - self.lo) / _PANEL_WIDTH
+        panel = np.clip(np.floor(t).astype(np.intp), 0, self.n_panels - 1)
+        s2 = 4.0 * (t - panel) - 2.0  # twice the panel's local variable
+        b1 = np.zeros(t.shape, dtype=np.complex128)
+        b2 = np.zeros_like(b1)
+        for c in self._coef[:0:-1]:
+            b1, b2 = c[panel] + s2 * b1 - b2, b1
+        return self._coef[0][panel] + 0.5 * s2 * b1 - b2
+
+
+def _taylor_dd(
+    a: complex, z: np.ndarray, table: "_BandTable | None" = None
+) -> np.ndarray:
+    """Double-double Taylor value of 1F1(a; 1; z) for the cancellation band.
+
+    ``table``, a :class:`_BandTable` for this a with z on its ray, serves
+    the points from the table; without it the series is summed here.
+    """
+    if table is not None:
+        return table(z)
+    return _dd_series(a, z)
 
 
 def _asymptotic(a: complex, z: np.ndarray):
@@ -191,8 +275,13 @@ def _asymptotic_edge(a_mag: float) -> float:
     return max(30.0, 22.0 + 2.6 * a_mag)
 
 
-def _hyp1f1_b1_many(a: complex, z: np.ndarray) -> np.ndarray:
-    """Vectorized 1F1(a; 1; z) over an array of z, fixed a."""
+def _hyp1f1_b1_many(
+    a: complex, z: np.ndarray, table: "_BandTable | None" = None
+) -> np.ndarray:
+    """Vectorized 1F1(a; 1; z) over an array of z, fixed a.
+
+    ``table`` (see :func:`_taylor_dd`) serves the double-double band.
+    """
     a = complex(a)
     a_mag = abs(a)
     if a_mag > _A_MAX:
@@ -213,7 +302,7 @@ def _hyp1f1_b1_many(a: complex, z: np.ndarray) -> np.ndarray:
     if np.any(small):
         out[small] = _taylor_f64(a, z[small])
     if np.any(mid):
-        out[mid] = _taylor_dd(a, z[mid])
+        out[mid] = _taylor_dd(a, z[mid], table)
     if np.any(big):
         vals, rel = _asymptotic(a, z[big])
         bad = rel > _HYP_TOL
@@ -269,7 +358,7 @@ def _coulomb_distortion_many(
         return np.ones(r1.shape[0], dtype=np.complex128)
     radii = np.sqrt(np.einsum("ij,ij->i", r1, r1))
     x = p.k1 * radii + r1 @ k1_vec
-    vals = _hyp1f1_b1_many(1j * p.alpha1, 1j * x)
+    vals = _hyp1f1_b1_many(1j * p.alpha1, 1j * x, p.band_table)
     return _coulomb_norm(p.alpha1) * vals
 
 

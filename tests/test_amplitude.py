@@ -25,6 +25,7 @@ from psbar_xsec.amplitude import (
     reduced_integrand,
     yukawa_exp_convolution,
 )
+from psbar_xsec import _dd
 from psbar_xsec.specfun import DistortionParams
 from psbar_xsec.states import (
     ChandrasekharParams,
@@ -405,6 +406,29 @@ def test_integrand_sees_bounded_blocks(monkeypatch):
     amplitude(_test_kin(), ST_1S, [0.0], [0.5], IntegrationSpec(samples=1 << 17, seed=1))
     assert max(rows) == _BLOCK == 1 << 13
     assert sum(rows) == 1 << 17
+
+
+def test_dd_series_summed_once_per_call(monkeypatch):
+    # the double-double series fills the band table once per amplitude
+    # call: 2^14 and 2^17 samples (one and two blocks per replicate) sum
+    # the same terms, and the next call, with fresh DistortionParams, sums
+    # them again rather than reading a table left by the first
+    calls = []
+    real = _dd.dd_div_exact
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(_dd, "dd_div_exact", counting)
+    kin = _test_kin(E=50.0)
+    counts = []
+    for samples in (1 << 14, 1 << 17, 1 << 14):
+        calls.clear()
+        amplitude(kin, ST_1S, [0.0], [0.5], IntegrationSpec(samples=samples, seed=2))
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_azimuth_rotation_and_mirror_of_2p(monkeypatch):

@@ -92,7 +92,7 @@ def test_config_errors_carry_line_numbers(tmp_path):
             parse_config(str(p))
 
 
-def test_config_validation():
+def test_config_validation(capsys):
     with pytest.raises(ConfigError):
         _cfg(mode="other").validate()
     with pytest.raises(ConfigError):
@@ -115,6 +115,13 @@ def test_config_validation():
     for mus in ([0.0, -0.1], [math.nan], [math.inf]):
         with pytest.raises(ConfigError, match="mus"):
             _cfg(mus=mus).validate()
+    # a worker count below one used to run serial; PSBAR_THREADS=0 is the
+    # way to ask for every core
+    for threads in (0, -4):
+        with pytest.raises(ConfigError, match="threads"):
+            _cfg(threads=threads).validate()
+    assert main(["sdcs", "--threads", "-4", "--out", "unused.csv"]) == 2
+    assert "threads must be >= 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,15 @@ import scipy.special as sp
 
 from psbar_xsec.amplitude import _wave_factors, beam_vectors
 from psbar_xsec.specfun import (
+    _PANEL_WIDTH,
     ConvergenceError,
     DistortionParams,
     coulomb_distortion,
     hyp1f1_b1,
     _asymptotic,
     _asymptotic_edge,
+    _BandTable,
+    _coulomb_distortion_many,
     _coulomb_norm,
     _f64_band_edge,
     _hyp1f1_b1_many,
@@ -105,25 +108,55 @@ def test_hyp1f1_nonconvergence_raises():
     for a, z in ((40.0j, 70.0j), (10.0j, 5.0j), (-20.0j, 30.0j)):
         with pytest.raises(ConvergenceError):
             hyp1f1_b1(a, z)
+    # the distortion's band table does not bypass the guard: alpha = 10,
+    # every point in the double-double band (x = 2 k1 r1 along k1)
+    p = DistortionParams.for_momentum(0.1)
+    x = np.array([10.0, 20.0, 30.0, 40.0])
+    lo, hi = _f64_band_edge(p.alpha1), _asymptotic_edge(p.alpha1)
+    assert np.all((x >= lo) & (x < hi))
+    r1 = np.outer(x / (2.0 * p.k1), [0.0, 0.0, 1.0])
+    with pytest.raises(ConvergenceError):
+        _coulomb_distortion_many(p, r1, np.array([0.0, 0.0, p.k1]))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("alpha", [0.3, 2.0, 5.0, 8.0])
 def test_hyp1f1_contract_vs_mpmath(alpha, sign):
     # the documented contract: 1F1(+-i alpha; 1; +-i x) to 1e-9 relative
-    # for alpha <= 8 and x in [0, 1000], on every branch
+    # for alpha <= 8 and x in [0, 1000], on every branch, with the
+    # double-double band both summed directly and read from a band table
     mpmath = pytest.importorskip("mpmath")
-    x = np.concatenate([np.linspace(0.0, 60.0, 61), np.geomspace(60.0, 1000.0, 12)[1:]])
-    assert np.any(x < _f64_band_edge(alpha))
-    assert np.any((x >= _f64_band_edge(alpha)) & (x < _asymptotic_edge(alpha)))
-    assert np.any(x >= _asymptotic_edge(alpha))
-    got = _hyp1f1_b1_many(sign * 1j * alpha, sign * 1j * x)
+    lo, hi = _f64_band_edge(alpha), _asymptotic_edge(alpha)
+    table = _BandTable(sign * 1j * alpha, sign * 1j)
+    # every panel edge and both band edges, each also 1e-12 either side
+    marks = np.append(lo + _PANEL_WIDTH * np.arange(table.n_panels + 1), hi)
+    x = np.concatenate([
+        np.linspace(0.0, 60.0, 61), np.geomspace(60.0, 1000.0, 12)[1:],
+        marks - 1e-12, marks, marks + 1e-12,
+    ])
+    assert np.any(x < lo)
+    assert np.any((x >= lo) & (x < hi))
+    assert np.any(x >= hi)
     with mpmath.workdps(40):
         want = np.array([
             complex(mpmath.hyp1f1(mpmath.mpc(0, sign * alpha), 1, mpmath.mpc(0, sign * xi)))
             for xi in x
         ])
-    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9
+    for band in (None, table):
+        got = _hyp1f1_b1_many(sign * 1j * alpha, sign * 1j * x, band)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 2.0, 5.0])
+def test_band_table_matches_dd_series(alpha, sign):
+    # interpolation adds nothing visible to the series it tabulates
+    a = sign * 1j * alpha
+    rng = np.random.default_rng(11)
+    z = sign * 1j * rng.uniform(_f64_band_edge(alpha), _asymptotic_edge(alpha), 1000)
+    direct = _taylor_dd(a, z)
+    tabled = _taylor_dd(a, z, _BandTable(a, sign * 1j))
+    assert np.max(np.abs(tabled - direct) / np.abs(direct)) <= 1e-12
 
 
 def test_hyp1f1_conjugation_symmetry():
