@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import math
 import zlib
+from concurrent.futures import Executor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -409,12 +411,50 @@ def _azimuth(theta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _replicate_sums(
+    kin: Kinematics,
+    sampled: PsState,
+    mus: Sequence[float],
+    ki_vecs: Sequence[np.ndarray],
+    distortion: DistortionParams,
+    seed: int,
+    m: int,
+    rep: int,
+) -> np.ndarray:
+    """Unnormalized sums of one replicate, complex (len(mus), len(ki_vecs)).
+
+    Draws replicate ``rep``'s scrambled Sobol block of 2^m points and
+    evaluates it in blocks of ``_BLOCK`` rows.  A pure function of its
+    arguments, so it gives the same bits in any process; must stay
+    top-level so that a process pool can run it.
+    """
+    ss = _task_seed(seed, sampled, kin, "qmc6d", rep)
+    sob = qmc.Sobol(d=6, scramble=True, seed=np.random.default_rng(ss))
+    u_rep = np.clip(sob.random_base2(m), _U_EPS, 1.0 - _U_EPS)
+    rates2, w2mix = _r2_mixture(_CHAND)
+    rate_rho = _rho_rate(sampled)
+    k1_vec = np.array([0.0, 0.0, kin.k1])
+    sums = np.zeros((len(mus), len(ki_vecs)), dtype=np.complex128)
+    for start in range(0, len(u_rep), _BLOCK):
+        u = u_rep[start:start + _BLOCK]
+        r2v, p2 = _vectors_from_uniform_mix(u[:, 0:3], rates2, w2mix)
+        rhov, pr = _vectors_from_uniform(u[:, 3:6], rate_rho)
+        r1v = r2v + rhov
+        vals = _integrand_6d(
+            r1v, r2v, mus, sampled, distortion, k1_vec, _CHAND
+        ) / (p2 * pr)
+        for j, ki_vec in enumerate(ki_vecs):
+            sums[:, j] += np.sum(vals * _incident_wave(r1v, r2v, ki_vec), axis=1)
+    return sums
+
+
 def amplitude(
     kin: Kinematics,
     state: PsState,
     mus: Sequence[float],
     thetas: Sequence[float],
     spec: IntegrationSpec,
+    pool: Optional[Executor] = None,
 ) -> np.ndarray:
     """Randomized-QMC estimates of the prior-form transition amplitude.
 
@@ -428,38 +468,32 @@ def amplitude(
     not sampled: the reflection y -> -y gives T_-m = (-1)^m T_m.  Fixed
     (spec, kinematics, state) give bit-identical estimates for each
     (mu, theta) whatever else is requested and whatever the worker count.
+
+    ``pool``, an executor, runs the replicates (``_replicate_sums``) as
+    its tasks, one per replicate; without it they run here, one after
+    another.  Before handing them to the pool, the 1F1 band table is
+    filled here, and each task carries it inside the pickled
+    :class:`DistortionParams`, so no worker sums the series again.
     """
     sampled = PsState(state.n, state.l, abs(state.m))
     distortion = DistortionParams.for_momentum(kin.k1)
-    k1_vec = np.array([0.0, 0.0, kin.k1])
     phis = [_azimuth(theta) for theta in thetas]
     ki_vecs = [_incident_momentum(kin.k_i, t, p) for t, p in zip(thetas, phis)]
-    rates2, w2mix = _r2_mixture(_CHAND)
-    rate_rho = _rho_rate(state)
     m = max(7, round(math.log2(max(1.0, spec.samples / REPLICATES))))
-
-    sums = np.zeros((REPLICATES, len(mus), len(thetas)), dtype=np.complex128)
-    for rep in range(REPLICATES):
-        ss = _task_seed(spec.seed, sampled, kin, "qmc6d", rep)
-        sob = qmc.Sobol(d=6, scramble=True, seed=np.random.default_rng(ss))
-        u_rep = np.clip(sob.random_base2(m), _U_EPS, 1.0 - _U_EPS)
-        for start in range(0, len(u_rep), _BLOCK):
-            u = u_rep[start:start + _BLOCK]
-            r2v, p2 = _vectors_from_uniform_mix(u[:, 0:3], rates2, w2mix)
-            rhov, pr = _vectors_from_uniform(u[:, 3:6], rate_rho)
-            r1v = r2v + rhov
-            vals = _integrand_6d(
-                r1v, r2v, mus, sampled, distortion, k1_vec, _CHAND
-            ) / (p2 * pr)
-            for j, ki_vec in enumerate(ki_vecs):
-                sums[rep, :, j] += np.sum(vals * _incident_wave(r1v, r2v, ki_vec), axis=1)
+    one = partial(_replicate_sums, kin, sampled, mus, ki_vecs, distortion,
+                  spec.seed, m)
+    if pool is None:
+        sums = np.stack([one(rep) for rep in range(REPLICATES)])
+    else:
+        distortion.fill_band_table()
+        sums = np.stack(list(pool.map(one, range(REPLICATES))))
 
     pref = -kin.mu_f / (2.0 * math.pi)
     if state.m < 0:
         pref *= (-1.0) ** state.m
     if sampled.m:
         sums *= np.exp(-1j * sampled.m * np.asarray(phis))
-    return pref * sums / len(u_rep)
+    return pref * sums / (1 << m)
 
 
 def amplitude_oracle_9d(

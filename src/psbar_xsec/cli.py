@@ -1,15 +1,26 @@
 """Configuration-driven sweep runner and CSV/JSON emitter.
 
-Runs (state, energy, screening[, angle]) grids in parallel worker
-processes and writes one row per grid point.  Each worker task is one
-(state, energy) group covering every mu and angle, which share one
-sample cloud.  Groups below the formation threshold become explicit
-``below_threshold`` rows; a group that fails becomes ``error`` rows (the
-message goes to stderr) and the sweep goes on.  Results are
-deterministic for a fixed seed regardless of the worker count: every
-group derives its random streams from the master seed, the state and
-the energy, and rows are assembled in grid order (state, energy, mu,
-angle).
+Runs (state, energy, screening[, angle]) grids and writes one row per grid
+point.  The unit of work is one (state, energy) group covering every mu
+and angle, which share one sample cloud.  ``run`` spreads the work over
+worker processes in one of three ways, chosen from the worker count
+(``threads``, else ``PSBAR_THREADS``, where 0 or unset means every core),
+the number of groups and the sample count:
+
+* fewer groups than workers (a single-point run) and at least
+  ``_SPLIT_MIN_SAMPLES`` samples: the groups run here one after another,
+  and each amplitude call splits its ``REPLICATES`` replicates over a pool
+  of up to that many workers;
+* otherwise, one worker or one group: every group here, one after another;
+* otherwise: one pool task per group, on up to one worker per group.
+
+Groups below the formation threshold become explicit ``below_threshold``
+rows; a group that fails becomes ``error`` rows (the message goes to
+stderr) and the sweep goes on.  Results are bit-identical for a fixed seed
+whatever the worker count and whichever way the work is spread: every
+replicate of every group derives its random stream from the master seed,
+the state, the energy and the replicate index, and rows are assembled in
+grid order (state, energy, mu, angle).
 
 The settings table ``_SETTINGS`` is the one list of config-file keys and
 command-line flags; ``parse_config`` and ``build_parser`` are generated
@@ -26,11 +37,11 @@ import math
 import os
 import sys
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
-from .amplitude import IntegrationSpec
+from .amplitude import _BLOCK, REPLICATES, IntegrationSpec
 from .states import (
     BelowThresholdError,
     HARTREE_EV,
@@ -52,6 +63,12 @@ __all__ = [
 ]
 
 CSV_HEADER = "state,E_i_eV,mu_au,theta_deg,value_au,std_err_au,status"
+
+#: fewest samples at which amplitude calls split their replicates over a
+#: pool: one full evaluation block per replicate.  Smaller calls finish
+#: before the workers pay for themselves (a 1024-sample 1s TCS point takes
+#: 0.05 s serial and 0.08 s on a pool of two).
+_SPLIT_MIN_SAMPLES = REPLICATES * _BLOCK
 
 
 class ConfigError(ValueError):
@@ -164,7 +181,9 @@ _SETTINGS = (
     _Setting("fmt", ("format",), "--format", str.lower, "csv or json"),
     _Setting("threads", ("threads",), "--threads", int,
              "worker processes, >= 1 (default: PSBAR_THREADS, where 0 or "
-             "unset means every core)"),
+             "unset means every core); each worker takes whole (state, "
+             "energy) groups, or, with fewer groups than workers and at least "
+             f"{_SPLIT_MIN_SAMPLES} samples, replicates of each amplitude"),
     _Setting("eps_hplus_override_ev", ("eps_hplus_override_ev",),
              "--eps-hplus-override", float,
              "electron affinity of the ion in eV (default 0.75)"),
@@ -207,12 +226,13 @@ def parse_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _eval_group(task) -> List[CrossSectionRecord]:
+def _eval_group(task, pool: Optional[Executor] = None) -> List[CrossSectionRecord]:
     """Worker entry: every row of one (state, energy).  Must stay top-level.
 
     All mus and angles of the group share one sample cloud per m substate,
     so the group is also the unit of failure: a group that fails becomes
-    ``error`` rows and the sweep goes on.
+    ``error`` rows and the sweep goes on.  ``pool`` runs the replicates of
+    the group's amplitude calls.
     """
     cfg, label, energy = task
     state = PsState.from_label(label)
@@ -226,11 +246,11 @@ def _eval_group(task) -> List[CrossSectionRecord]:
         if cfg.mode == "tcs":
             return tcs(
                 energy, state, screens, spec, n_theta=cfg.n_theta,
-                m_average=m_average, eps_hplus_override=eps_hplus,
+                m_average=m_average, eps_hplus_override=eps_hplus, pool=pool,
             )
         kin = kinematics(energy, state, eps_hplus_override=eps_hplus)
         recs = sdcs(kin, state, screens, spec, m_average,
-                    thetas=[math.radians(t) for t in thetas])
+                    thetas=[math.radians(t) for t in thetas], pool=pool)
         # carry the requested angles exactly (not the radian round-trip)
         return [replace(rec, theta_deg=theta)
                 for rec, theta in zip(recs, thetas * len(screens))]
@@ -253,21 +273,39 @@ def _eval_group(task) -> List[CrossSectionRecord]:
     ]
 
 
+def _worker_count(threads: Optional[int]) -> int:
+    """Worker processes of a run: ``threads``, else ``PSBAR_THREADS``.
+
+    0 or unset means every core; a negative or non-integer
+    ``PSBAR_THREADS`` is a :class:`ConfigError`.
+    """
+    if threads is not None:
+        return threads
+    text = os.environ.get("PSBAR_THREADS", "0")
+    if not text.strip().isdecimal():
+        raise ConfigError(f"PSBAR_THREADS must be an integer >= 0, got {text!r}")
+    return int(text) or os.cpu_count() or 1
+
+
 def run(cfg: RunConfig) -> List[CrossSectionRecord]:
     """Evaluate the whole grid; one record per point, in grid order.
 
-    One task per (state, energy) covers every mu and angle; rows come back
-    in grid order (state, energy, mu, angle) for any worker count.
+    One task per (state, energy) covers every mu and angle.  With fewer
+    such groups than workers and enough samples, the groups run here and
+    each amplitude call splits its replicates over the pool instead (see
+    the module docstring).  Rows come back in grid order (state, energy,
+    mu, angle), the same bits for any worker count.
     """
     cfg.validate()
+    workers = _worker_count(cfg.threads)
     tasks = [(cfg, label, energy) for label in cfg.states for energy in cfg.energies]
-    threads = cfg.threads
-    if threads is None:
-        threads = int(os.environ.get("PSBAR_THREADS", "0")) or os.cpu_count() or 1
-    if threads <= 1 or len(tasks) == 1:
+    if len(tasks) < workers and cfg.samples >= _SPLIT_MIN_SAMPLES:
+        with ProcessPoolExecutor(max_workers=min(workers, REPLICATES)) as pool:
+            groups = [_eval_group(t, pool) for t in tasks]
+    elif workers <= 1 or len(tasks) == 1:
         groups = [_eval_group(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             groups = list(pool.map(_eval_group, tasks))
     return [rec for group in groups for rec in group]
 

@@ -36,6 +36,10 @@ point by a Clenshaw recurrence.  The table lives on the
 :class:`DistortionParams` instance, and so for one amplitude call, not in a
 process-wide cache: every call that meets the band sums the series once,
 and a call's cost does not depend on what ran before it in the process.
+An amplitude call that spreads its replicates over worker processes fills
+the table first (:meth:`DistortionParams.fill_band_table`); the
+coefficients travel inside the pickled instance, so the workers only read
+them.
 
 All functions are pure apart from the table a :class:`DistortionParams`
 fills on first use, which is a deterministic function of alpha1; callers
@@ -93,8 +97,10 @@ class DistortionParams:
     distortion off (alpha1 = eta1 = 0 recovers the plane-wave Born limit).
 
     Each instance carries the :class:`_BandTable` of its 1F1, filled the
-    first time one of its points falls in the double-double band, so build
-    one instance per amplitude call and pass it to every row block.
+    first time one of its points falls in the double-double band (or by
+    :meth:`fill_band_table`), so build one instance per amplitude call and
+    pass it to every row block.  The table is part of the instance's
+    pickled state: fill it before sending the instance to worker processes.
     """
 
     alpha1: float
@@ -111,6 +117,17 @@ class DistortionParams:
     def band_table(self) -> "_BandTable":
         """Band table of 1F1(i alpha1; 1; i x), x >= 0 (empty until first used)."""
         return _BandTable(1j * self.alpha1)
+
+    def fill_band_table(self) -> None:
+        """Fill the band table now rather than on the first band point.
+
+        A filled table is pickled with the instance, so a copy sent to a
+        worker process reads it and sums no series.  Does nothing where
+        the distortion never reads the table: alpha1 = 0, and |alpha1|
+        above the verified range, where 1F1 raises instead.
+        """
+        if 0.0 < abs(self.alpha1) <= _A_MAX:
+            self.band_table.fill()
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +183,10 @@ class _BandTable:
     Covers z = ray * t, with ``ray`` a unit complex number and t from
     ``_f64_band_edge(|a|)`` up to the first panel edge at or above
     ``_asymptotic_edge(|a|)``, in panels of width ``_PANEL_WIDTH`` in t.
-    The first call sums ``_dd_series`` once over the first-kind Chebyshev
-    nodes of every panel; each call then evaluates its points by a
-    Clenshaw recurrence, gathering one coefficient row per step so that
-    memory stays linear in the number of points.
+    The first call (or :meth:`fill`) sums ``_dd_series`` once over the
+    first-kind Chebyshev nodes of every panel; each call then evaluates
+    its points by a Clenshaw recurrence, gathering one coefficient row per
+    step so that memory stays linear in the number of points.
     """
 
     def __init__(self, a: complex, ray: complex = 1j):
@@ -180,7 +197,10 @@ class _BandTable:
         self.n_panels = math.ceil(width / _PANEL_WIDTH)
         self._coef = None  # (degree + 1, n_panels), filled on first use
 
-    def _build(self) -> np.ndarray:
+    def fill(self) -> None:
+        """Sum the series on the nodes, unless already done."""
+        if self._coef is not None:
+            return
         n = _PANEL_DEGREE + 1
         theta = math.pi * (np.arange(n) + 0.5) / n
         t = self.lo + _PANEL_WIDTH * (
@@ -190,12 +210,11 @@ class _BandTable:
         # discrete Chebyshev transform: c_j = (2/n) sum_k f(x_k) T_j(x_k)
         coef = (2.0 / n) * (np.cos(np.outer(np.arange(n), theta)) @ vals.T)
         coef[0] *= 0.5
-        return coef
+        self._coef = coef
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """1F1(a; 1; z) at points z on the table's ray, inside the band."""
-        if self._coef is None:
-            self._coef = self._build()
+        self.fill()
         t = (np.abs(z) - self.lo) / _PANEL_WIDTH
         panel = np.clip(np.floor(t).astype(np.intp), 0, self.n_panels - 1)
         s2 = 4.0 * (t - panel) - 2.0  # twice the panel's local variable

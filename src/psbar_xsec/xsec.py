@@ -33,6 +33,7 @@ result.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -108,13 +109,15 @@ def sdcs(
     spec: IntegrationSpec,
     m_average: bool = True,
     thetas: Optional[Sequence[float]] = None,
+    pool: Optional[Executor] = None,
 ) -> Union[CrossSectionRecord, List[CrossSectionRecord]]:
     """Single differential cross section (k1/k_i)|T|^2.
 
     With one ScreeningConfig and no ``thetas``, returns the record at
     ``kin.theta_e``.  Given a sequence of screenings and/or ``thetas``
     (radians), returns one record per (mu, theta), mu outermost, all from
-    one amplitude call per m substate.
+    one amplitude call per m substate.  ``pool`` is handed to
+    :func:`~psbar_xsec.amplitude.amplitude`, which runs the replicates on it.
     """
     screens = _screen_list(screen)
     angles = [kin.theta_e] if thetas is None else list(thetas)
@@ -122,7 +125,7 @@ def sdcs(
     value = 0.0
     var = 0.0
     for sub, weight in _substates(state, m_average):
-        reps = amplitude(kin, sub, [s.mu for s in screens], angles, spec)
+        reps = amplitude(kin, sub, [s.mu for s in screens], angles, spec, pool=pool)
         t, sigma, tsq = _tsq_debiased(reps)
         value = value + weight * np.maximum(0.0, tsq)
         var = var + (weight * 2.0 * np.abs(t) * sigma) ** 2
@@ -163,6 +166,7 @@ def tcs(
     n_theta: int = 16,
     m_average: bool = True,
     eps_hplus_override: Optional[float] = None,
+    pool: Optional[Executor] = None,
 ) -> Union[CrossSectionRecord, List[CrossSectionRecord]]:
     """Total cross section at incident energy E_i (eV).
 
@@ -170,6 +174,7 @@ def tcs(
     the error combines the jackknife error of the full rule with the
     difference of the two.  With a sequence of screenings, returns one
     record per mu.  Raises :class:`BelowThresholdError` below threshold.
+    ``pool`` is handed to :func:`~psbar_xsec.amplitude.amplitude`.
     """
     if n_theta < 8:
         raise ValueError(f"need n_theta >= 8, got {n_theta}")
@@ -183,7 +188,7 @@ def tcs(
     tsq = 0.0
     tsq_loo = 0.0
     for sub, weight in _substates(state, m_average):
-        reps = amplitude(kin, sub, [s.mu for s in screens], thetas, spec)
+        reps = amplitude(kin, sub, [s.mu for s in screens], thetas, spec, pool=pool)
         tsq = tsq + weight * _tsq_debiased(reps)[2]
         tsq_loo = tsq_loo + weight * np.stack(
             [_tsq_debiased(np.delete(reps, a, axis=0))[2] for a in range(len(reps))]

@@ -1,5 +1,6 @@
 import importlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -26,7 +27,12 @@ from psbar_xsec.amplitude import (
     yukawa_exp_convolution,
 )
 from psbar_xsec import _dd
-from psbar_xsec.specfun import DistortionParams
+from psbar_xsec.specfun import (
+    DistortionParams,
+    _asymptotic_edge,
+    _coulomb_distortion_many,
+    _f64_band_edge,
+)
 from psbar_xsec.states import (
     ChandrasekharParams,
     PsState,
@@ -429,6 +435,36 @@ def test_dd_series_summed_once_per_call(monkeypatch):
         counts.append(len(calls))
     assert counts[0] > 0
     assert counts[0] == counts[1] == counts[2]
+
+
+def test_filled_band_table_travels_with_pickled_params(monkeypatch):
+    # an amplitude call fills the band table before it hands its replicates
+    # to a pool; the pickled copy a worker gets keeps the coefficients and
+    # reads them without summing the double-double series again
+    calls = []
+    real = _dd.dd_div_exact
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(_dd, "dd_div_exact", counting)
+    kin = _test_kin(E=50.0)
+    dist = DistortionParams.for_momentum(kin.k1)
+    dist.fill_band_table()
+    assert calls
+    copy = pickle.loads(pickle.dumps(dist))
+    assert np.array_equal(copy.band_table._coef, dist.band_table._coef)
+    # points on +k1, where the 1F1 argument is 2 k1 z: across the whole band
+    a = dist.alpha1
+    x = np.linspace(_f64_band_edge(a), _asymptotic_edge(a), 500, endpoint=False)
+    r1 = np.zeros((len(x), 3))
+    r1[:, 2] = x / (2.0 * kin.k1)
+    k1_vec = np.array([0.0, 0.0, kin.k1])
+    calls.clear()
+    got = _coulomb_distortion_many(copy, r1, k1_vec)
+    assert calls == []
+    assert np.array_equal(got, _coulomb_distortion_many(dist, r1, k1_vec))
 
 
 def test_azimuth_rotation_and_mirror_of_2p(monkeypatch):

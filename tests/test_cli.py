@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -25,6 +27,8 @@ from psbar_xsec.states import PsState, threshold_ev
 from psbar_xsec.xsec import CrossSectionRecord
 
 FAST = dict(samples=2048, seed=9, threads=1)
+# the package re-exports the function under the module's name
+amplitude_mod = importlib.import_module("psbar_xsec.amplitude")
 
 
 def _cfg(**kw):
@@ -92,7 +96,7 @@ def test_config_errors_carry_line_numbers(tmp_path):
             parse_config(str(p))
 
 
-def test_config_validation(capsys):
+def test_config_validation(capsys, monkeypatch, tmp_path):
     with pytest.raises(ConfigError):
         _cfg(mode="other").validate()
     with pytest.raises(ConfigError):
@@ -122,6 +126,23 @@ def test_config_validation(capsys):
             _cfg(threads=threads).validate()
     assert main(["sdcs", "--threads", "-4", "--out", "unused.csv"]) == 2
     assert "threads must be >= 1" in capsys.readouterr().err
+    # the same holds for PSBAR_THREADS, which a negative value used to turn
+    # into a silent serial run; it is refused before any group runs
+    monkeypatch.setattr(cli, "_eval_group", lambda *a: pytest.fail("work started"))
+    out = tmp_path / "unused.csv"
+    for env in ("-4", "two", "1.5"):
+        monkeypatch.setenv("PSBAR_THREADS", env)
+        with pytest.raises(ConfigError, match="PSBAR_THREADS"):
+            run(_cfg(threads=None))
+        assert main(["sdcs", "--out", str(out)]) == 2
+        assert "PSBAR_THREADS must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+    # 0 or unset: every core
+    monkeypatch.setenv("PSBAR_THREADS", "0")
+    assert cli._worker_count(None) == (os.cpu_count() or 1)
+    monkeypatch.delenv("PSBAR_THREADS")
+    assert cli._worker_count(None) == (os.cpu_count() or 1)
+    assert cli._worker_count(3) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -157,21 +178,40 @@ def test_below_threshold_rows_not_skipped():
     assert [r.status for r in recs if r.E_i == near] == ["error", "error"]
 
 
-def test_deterministic_across_worker_counts(tmp_path, monkeypatch):
-    # two (state, energy) groups, so threads=4 really opens a pool
+def _recording_pools(monkeypatch):
+    """List that gets the keyword arguments of every pool ``run`` opens."""
     pools = []
     real_pool = cli.ProcessPoolExecutor
     monkeypatch.setattr(cli, "ProcessPoolExecutor",
                         lambda **kw: pools.append(kw) or real_pool(**kw))
-    cfg1 = _cfg(energies=[10.0, 20.0], angles=[30.0, 90.0, 150.0], threads=1)
-    cfg4 = dataclasses.replace(cfg1, threads=4)
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    emit(run(cfg1), str(a))
-    assert pools == []
-    emit(run(cfg4), str(b))
-    assert pools == [{"max_workers": 2}]
-    assert a.read_bytes() == b.read_bytes()
+    return pools
+
+
+def test_deterministic_across_worker_counts(tmp_path, monkeypatch):
+    # every way of spreading the work gives the same bytes.  Two (state,
+    # energy) groups take one worker each.  With fewer groups than workers
+    # and at least _SPLIT_MIN_SAMPLES samples, each amplitude call splits
+    # its replicates over the pool; below that a single group runs serial.
+    pools = _recording_pools(monkeypatch)
+    split = dict(samples=cli._SPLIT_MIN_SAMPLES)
+    cases = [
+        (_cfg(energies=[10.0, 20.0], angles=[30.0, 90.0, 150.0]), [(2, 2), (4, 2)]),
+        (_cfg(energies=[10.0, 20.0], angles=[30.0], **split), [(4, 4)]),
+        (_cfg(angles=[0.0, 30.0, 90.0], **split), [(2, 2)]),
+        (_cfg(mode="tcs", angles=None, n_theta=8, **split), [(2, 2)]),
+        (_cfg(states=["2p"], energies=[6.0], angles=[40.0], **split), [(2, 2)]),
+        (_cfg(angles=[0.0, 30.0, 90.0]), [(2, None)]),
+    ]
+    for cfg, pooled in cases:
+        serial = tmp_path / "serial.csv"
+        emit(run(dataclasses.replace(cfg, threads=1)), str(serial))
+        assert pools == []
+        for threads, workers in pooled:
+            out = tmp_path / f"t{threads}.csv"
+            emit(run(dataclasses.replace(cfg, threads=threads)), str(out))
+            assert pools == ([] if workers is None else [{"max_workers": workers}])
+            pools.clear()
+            assert out.read_bytes() == serial.read_bytes()
 
 
 def test_row_independent_of_other_angles_and_mus():
@@ -290,6 +330,12 @@ def test_main_gnuplot_script(tmp_path):
     assert str(out) in script.read_text()
 
 
+def _replicate_failing_in_worker(*args):
+    # module level, so that the pool can pickle it by name
+    where = "a worker" if multiprocessing.parent_process() else "the main process"
+    raise FloatingPointError(f"injected failure in {where}")
+
+
 def test_failing_point_becomes_error_row(tmp_path, monkeypatch, capsys):
     # the unit of work, and of failure, is one (state, energy) group
     real_sdcs = cli.sdcs
@@ -314,6 +360,22 @@ def test_failing_point_becomes_error_row(tmp_path, monkeypatch, capsys):
     assert [r.theta_deg for r in recs[2:4]] == [30.0, 150.0]
     err = capsys.readouterr().err
     assert "E_i=20.0 eV" in err and "injected failure" in err
+
+    # one group on two workers: its replicates run in the pool, and a
+    # replicate that fails there fails the group
+    monkeypatch.setattr(amplitude_mod, "_replicate_sums", _replicate_failing_in_worker)
+    rc = main(
+        [
+            "sdcs", "--energy-ev", "10", "--angles", "30,150",
+            "--samples", str(cli._SPLIT_MIN_SAMPLES), "--seed", "3", "--threads", "2",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 1
+    recs = read_records(str(out))
+    assert [r.status for r in recs] == ["error", "error"]
+    err = capsys.readouterr().err
+    assert "E_i=10.0 eV" in err and "injected failure in a worker" in err
 
 
 def test_config_file_and_flags_agree(tmp_path, monkeypatch):
@@ -380,10 +442,14 @@ def test_main_no_mode_prints_help(capsys):
 
 
 def test_env_threads_respected(tmp_path, monkeypatch):
+    # two groups and PSBAR_THREADS=2: one pool of two workers, one group
+    # each; on a host that reports one core, every core would be serial
+    pools = _recording_pools(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     monkeypatch.setenv("PSBAR_THREADS", "2")
-    cfg = _cfg(threads=None)
-    recs = run(cfg)
-    assert len(recs) == 2
+    recs = run(_cfg(energies=[10.0, 20.0], threads=None))
+    assert len(recs) == 4
+    assert pools == [{"max_workers": 2}]
 
 
 def test_m_resolved_flag():
